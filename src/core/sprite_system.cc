@@ -56,7 +56,7 @@ SpriteSystem::SpriteSystem(SpriteConfig config)
   ring_.ClearStats();
   // Attach the metrics mirrors only now, so bootstrap traffic (the initial
   // joins above) is excluded, matching the ClearStats() baseline.
-  net_.AttachMetrics(&metrics_);
+  bus_.mutable_stats().AttachMetrics(&metrics_);
   ring_.AttachMetrics(&metrics_);
   cache_.AttachMetrics(&metrics_);
   timeseries_.AttachMetrics(&metrics_);
@@ -67,20 +67,17 @@ SpriteSystem::SpriteSystem(SpriteConfig config)
   wall_.set_enabled(config_.enable_wall_profiler);
   tracer_.set_hop_cost_ms(latency_.HopsMs(1));
   ring_.AttachTracer(&tracer_);
-  net_.AttachTracer(&tracer_);
+  bus_.mutable_stats().AttachTracer(&tracer_);
   slo_.AttachTracer(&tracer_);
-  // The bus charges direct sends to the legacy accountant and answers
-  // liveness from the ring; retry backoff advances the simulated clock.
-  // Traffic is not double-mirrored into the registry (net.* already is);
-  // only timeouts/retries appear, lazily, as transport.* counters.
+  // The bus answers liveness from the ring; retry backoff advances the
+  // simulated clock. Timeouts/retries appear, lazily, as transport.*
+  // counters beside the net.* traffic mirror.
   bus_.ConfigureCostModel(
-      &net_,
       [this](PeerId id) {
         const dht::ChordNode* node = ring_.node(id);
         return node != nullptr && node->alive;
       },
       [this](double ms) { tracer_.clock().AdvanceMs(ms); });
-  bus_.mutable_stats().AttachMetrics(&metrics_, /*mirror_traffic=*/false);
   UpdateMembershipGauges();
 }
 
@@ -268,17 +265,6 @@ PeerId SpriteSystem::PickPeer(uint64_t hash) const {
   return 0;
 }
 
-StatusOr<PeerId> SpriteSystem::RouteToTerm(PeerId from, TermId term,
-                                           int* hops_out) {
-  // Interned terms carry their MD5 key; routing hashes nothing.
-  const uint64_t key = RingKeyOf(term);
-  StatusOr<dht::ChordRing::LookupResult> res = ring_.FindSuccessor(from, key);
-  if (!res.ok()) return res.status();
-  net_.CountLookupHops(res->hops);
-  if (hops_out != nullptr) *hops_out = res->hops;
-  return res->node;
-}
-
 PostingEntry SpriteSystem::MakePosting(const OwnedDocument& owned,
                                        const std::string& term,
                                        PeerId owner) const {
@@ -299,14 +285,13 @@ Status SpriteSystem::PublishTerm(PeerId owner, TermId term,
   span.Annotate("term", TermDict::Global().TermOf(term));
   StatusOr<dht::ChordRing::LookupResult> target = ring_.CommitLookup(route);
   if (!target.ok()) return target.status();
-  net_.CountLookupHops(target->hops);
-  (void)bus_.CostSend(target->node, p2p::MessageType::kPublishTerm,
-                      p2p::kTermBytes + p2p::kPostingEntryBytes,
-                      DirectCallOptions());
-  tracer_.clock().AdvanceMs(
-      latency_.RequestMs(1) +
-      latency_.TransferMs(p2p::kMessageHeaderBytes + p2p::kTermBytes +
-                          p2p::kPostingEntryBytes));
+  bus_.ChargeLookupHops(target->hops);
+  const net::Charge sent =
+      bus_.CostSend(target->node, p2p::MessageType::kPublishTerm,
+                    p2p::kTermBytes + p2p::kPostingEntryBytes,
+                    DirectCallOptions());
+  tracer_.clock().AdvanceMs(latency_.RequestMs(1) +
+                            latency_.TransferMs(sent.wire_bytes));
   indexing_.at(target->node).AddPosting(term, entry);
   // Feed the miss-attribution ledger: this (doc, term) pair has now been
   // published at least once, so a later absence means withdrawn (or
@@ -322,12 +307,12 @@ Status SpriteSystem::WithdrawTerm(PeerId owner, TermId term,
   span.Annotate("term", TermDict::Global().TermOf(term));
   StatusOr<dht::ChordRing::LookupResult> target = ring_.CommitLookup(route);
   if (!target.ok()) return target.status();
-  net_.CountLookupHops(target->hops);
-  (void)bus_.CostSend(target->node, p2p::MessageType::kWithdrawTerm,
-                      p2p::kTermBytes, DirectCallOptions());
-  tracer_.clock().AdvanceMs(
-      latency_.RequestMs(1) +
-      latency_.TransferMs(p2p::kMessageHeaderBytes + p2p::kTermBytes));
+  bus_.ChargeLookupHops(target->hops);
+  const net::Charge sent =
+      bus_.CostSend(target->node, p2p::MessageType::kWithdrawTerm,
+                    p2p::kTermBytes, DirectCallOptions());
+  tracer_.clock().AdvanceMs(latency_.RequestMs(1) +
+                            latency_.TransferMs(sent.wire_bytes));
   indexing_.at(target->node).RemovePosting(term, doc);
   return Status::OK();
 }
@@ -477,7 +462,7 @@ void SpriteSystem::CommitRecord(const RecordPlan& plan) {
         ring_.CommitLookup(plan.routes[t]);
     route_span.End();
     if (!target.ok()) continue;  // unreachable arc: this copy is lost
-    net_.CountLookupHops(target->hops);
+    bus_.ChargeLookupHops(target->hops);
     if (recorded_at.insert(target->node).second) {
       indexing_.at(target->node).RecordQuery(plan.rec);
     }
@@ -497,7 +482,6 @@ bool SpriteSystem::ValidateCachedSources(
     by_peer[source.second.peer].push_back(&source);
   }
   bool all_current = true;
-  const net::CallOptions direct = DirectCallOptions();
   for (const auto& [peer_id, items] : by_peer) {
     obs::ScopedSpan span(&tracer_, "cache.validate", PeerNameOf(peer_id));
     span.Annotate("terms", StrFormat("%zu", items.size()));
@@ -507,18 +491,17 @@ bool SpriteSystem::ValidateCachedSources(
     // attempt's request leg is charged (with the default send_retries = 0
     // that is exactly one request and no response, the accounting this
     // path has always used).
-    uint64_t exchange_bytes = 0;
     const size_t request_payload =
         items.size() * (p2p::kTermBytes + p2p::kVersionBytes) +
         (rec.has_value() ? p2p::kQueryRecordBytes : 0);
-    const Status sent = bus_.BeginExchange(
-        peer_id, p2p::MessageType::kVersionCheck, request_payload, direct);
-    const uint64_t attempts =
-        sent.ok() ? 1 : 1 + static_cast<uint64_t>(direct.retries);
-    requests += attempts;
-    exchange_bytes += attempts * (p2p::kMessageHeaderBytes + request_payload);
-    bool current = sent.ok();
-    if (sent.ok()) {
+    const net::Charge sent =
+        bus_.BeginExchange(peer_id, p2p::MessageType::kVersionCheck,
+                           request_payload, DirectCallOptions());
+    const bool alive = sent.status.ok();
+    requests += sent.attempts;
+    uint64_t exchange_bytes = sent.wire_bytes;
+    bool current = alive;
+    if (alive) {
       query_load_[peer_id] += 1;
       metrics_.Add("peer.queries_served",
                    StrFormat("peer-%llu",
@@ -539,15 +522,14 @@ bool SpriteSystem::ValidateCachedSources(
       }
       // The verdict response; a dead peer's probe just times out after
       // the request round trip(s).
-      bus_.CompleteExchange(p2p::MessageType::kVersionCheck,
-                            p2p::kVersionBytes);
-      exchange_bytes += p2p::kMessageHeaderBytes + p2p::kVersionBytes;
+      exchange_bytes += bus_.CompleteExchange(p2p::MessageType::kVersionCheck,
+                                              p2p::kVersionBytes);
     }
     bytes += exchange_bytes;
     tracer_.clock().AdvanceMs(latency_.RequestMs(1) +
                               latency_.TransferMs(exchange_bytes));
     span.Annotate("outcome",
-                  !sent.ok() ? "dead" : current ? "current" : "stale");
+                  !alive ? "dead" : current ? "current" : "stale");
     if (!current) all_current = false;
   }
   return all_current;
@@ -810,7 +792,7 @@ StatusOr<ir::RankedList> SpriteSystem::CommitSearch(const corpus::Query& query,
     // (ring stats, chord.* metrics, hop traces).
     StatusOr<dht::ChordRing::LookupResult> route =
         ring_.CommitLookup(plan.routes[term_idx]);
-    if (route.ok()) net_.CountLookupHops(route->hops);
+    if (route.ok()) bus_.ChargeLookupHops(route->hops);
     route_span.End();
     if (wall_on) route_wall_ns += obs::MonotonicNowNs() - route_start_ns;
     if (!route.ok()) {
@@ -835,10 +817,10 @@ StatusOr<ir::RankedList> SpriteSystem::CommitSearch(const corpus::Query& query,
     const size_t postings_before = fetched_postings;
     const size_t request_payload =
         p2p::kTermBytes + (rec.has_value() ? p2p::kQueryRecordBytes : 0);
-    (void)bus_.BeginExchange(target, p2p::MessageType::kQueryRequest,
-                             request_payload, DirectCallOptions());
+    fetch_bytes += bus_.BeginExchange(target, p2p::MessageType::kQueryRequest,
+                                      request_payload, DirectCallOptions())
+                       .wire_bytes;
     ++fetch_requests;
-    fetch_bytes += p2p::kMessageHeaderBytes + request_payload;
     query_load_[target] += 1;
     metrics_.Add("peer.queries_served",
                  StrFormat("peer-%llu",
@@ -858,11 +840,9 @@ StatusOr<ir::RankedList> SpriteSystem::CommitSearch(const corpus::Query& query,
     StoredPostingsPtr stored = peer.Stored(term);
     PostingListPtr plist = stored != nullptr ? stored->Snapshot() : nullptr;
     rl.postings = plist != nullptr ? std::move(plist) : EmptyPostingList();
-    const size_t response_payload =
-        rl.postings->size() * p2p::kPostingEntryBytes;
-    bus_.CompleteExchange(p2p::MessageType::kQueryResponse,
-                          response_payload);
-    fetch_bytes += p2p::kMessageHeaderBytes + response_payload;
+    fetch_bytes +=
+        bus_.CompleteExchange(p2p::MessageType::kQueryResponse,
+                              rl.postings->size() * p2p::kPostingEntryBytes);
     fetched_postings += rl.postings->size();
     resolved.insert(term);
     // The response carries the serving peer's term version (one uint64),
@@ -899,11 +879,9 @@ StatusOr<ir::RankedList> SpriteSystem::CommitSearch(const corpus::Query& query,
         RetrievedList extra;
         extra.term = other;
         extra.postings = std::move(cached);
-        const size_t cached_payload =
-            extra.postings->size() * p2p::kPostingEntryBytes;
-        bus_.CompleteExchange(p2p::MessageType::kQueryResponse,
-                              cached_payload);
-        fetch_bytes += p2p::kMessageHeaderBytes + cached_payload;
+        fetch_bytes += bus_.CompleteExchange(
+            p2p::MessageType::kQueryResponse,
+            extra.postings->size() * p2p::kPostingEntryBytes);
         fetched_postings += extra.postings->size();
         resolved.insert(other);
         if (explain_on) {
@@ -1302,7 +1280,7 @@ void SpriteSystem::RunLearningIteration() {
       StatusOr<dht::ChordRing::LookupResult> target =
           ring_.CommitLookup(unit.routes[t]);
       route_span.End();
-      if (target.ok()) net_.CountLookupHops(target->hops);
+      if (target.ok()) bus_.ChargeLookupHops(target->hops);
     }
 
     // Poll each peer with the full term list (Section 3's index update
@@ -1314,17 +1292,13 @@ void SpriteSystem::RunLearningIteration() {
       obs::ScopedSpan exchange_span(&tracer_, "poll.exchange",
                                     PeerNameOf(peer_id));
       uint64_t exchange_bytes =
-          p2p::kMessageHeaderBytes + unit.poll_terms.size() * p2p::kTermBytes;
-      (void)bus_.BeginExchange(peer_id, p2p::MessageType::kPollRequest,
-                               unit.poll_terms.size() * p2p::kTermBytes,
-                               DirectCallOptions());
-      poll_bytes +=
-          p2p::kMessageHeaderBytes + unit.poll_terms.size() * p2p::kTermBytes;
-      bus_.CompleteExchange(p2p::MessageType::kPollResponse,
-                            nrecs * p2p::kQueryRecordBytes);
-      poll_bytes += p2p::kMessageHeaderBytes + nrecs * p2p::kQueryRecordBytes;
-      exchange_bytes +=
-          p2p::kMessageHeaderBytes + nrecs * p2p::kQueryRecordBytes;
+          bus_.BeginExchange(peer_id, p2p::MessageType::kPollRequest,
+                             unit.poll_terms.size() * p2p::kTermBytes,
+                             DirectCallOptions())
+              .wire_bytes;
+      exchange_bytes += bus_.CompleteExchange(p2p::MessageType::kPollResponse,
+                                              nrecs * p2p::kQueryRecordBytes);
+      poll_bytes += exchange_bytes;
       tracer_.clock().AdvanceMs(latency_.RequestMs(1) +
                                 latency_.TransferMs(exchange_bytes));
       exchange_span.Annotate("queries", StrFormat("%zu", nrecs));
@@ -1403,11 +1377,12 @@ void SpriteSystem::ReplicateIndexes() {
               [](const auto& a, const auto& b) { return a.first < b.first; });
     for (const auto& [term, plist] : lists) {
       for (PeerId s : succs) {
-        const size_t payload =
-            p2p::kTermBytes + plist->size() * p2p::kPostingEntryBytes;
-        (void)bus_.CostSend(s, p2p::MessageType::kReplicate, payload,
-                            DirectCallOptions());
-        push_bytes += p2p::kMessageHeaderBytes + payload;
+        push_bytes +=
+            bus_.CostSend(s, p2p::MessageType::kReplicate,
+                          p2p::kTermBytes +
+                              plist->size() * p2p::kPostingEntryBytes,
+                          DirectCallOptions())
+                .wire_bytes;
         ++pushes;
         // The successor adopts a shared snapshot; copy-on-write at either
         // end keeps replica and primary independent without a deep copy.
@@ -1481,8 +1456,10 @@ size_t SpriteSystem::RunOverloadAdvisories(uint32_t threshold) {
       if (owner_it == owners_.end()) continue;
       OwnedDocument* owned = owner_it->second.document(posting.doc);
       if (owned == nullptr || !owned->IsIndexed(adv_term)) continue;
-      (void)bus_.CostSend(posting.owner, p2p::MessageType::kAdvisory,
-                          p2p::kTermBytes, DirectCallOptions());
+      const net::Charge advisory =
+          bus_.CostSend(posting.owner, p2p::MessageType::kAdvisory,
+                        p2p::kTermBytes, DirectCallOptions());
+      if (!advisory.status.ok()) continue;  // a down owner changes nothing
 
       // The owner discards the popular term and publishes an analogously
       // important one: its best-ranked unindexed candidate, falling back
@@ -1601,33 +1578,11 @@ PeerId SpriteSystem::CompleteJoin(PeerId id) {
   // key arc the newcomer now owns.
   const std::vector<PeerId> succs = ring_.SuccessorsOf(id, 1);
   if (!succs.empty() && succs[0] != id) {
-    IndexingPeer& successor = indexing_.at(succs[0]);
-    IndexingPeer::Handoff handoff =
-        successor.ExtractEntries([&](TermId term) {
+    const uint64_t handoff_bytes = TransferKeys(
+        id, indexing_.at(succs[0]).ExtractEntries([&](TermId term) {
           StatusOr<uint64_t> owner = ring_.ResponsibleNode(RingKeyOf(term));
           return owner.ok() && owner.value() == id;
-        });
-    IndexingPeer& newcomer = indexing_.at(id);
-    uint64_t handoff_bytes = 0;
-    for (auto& [term, plist] : handoff.lists) {
-      const size_t payload =
-          p2p::kTermBytes + plist->size() * p2p::kPostingEntryBytes;
-      (void)bus_.CostSend(id, p2p::MessageType::kKeyTransfer, payload,
-                          DirectCallOptions());
-      handoff_bytes += p2p::kMessageHeaderBytes + payload;
-      // Snapshot order is ascending doc id, so every AddPosting below hits
-      // the append fast path of the receiving store.
-      for (const PostingEntry& entry : *plist->Snapshot()) {
-        newcomer.AddPosting(term, entry);
-      }
-    }
-    for (const QueryRecord& record : handoff.records) {
-      (void)bus_.CostSend(id, p2p::MessageType::kKeyTransfer,
-                          p2p::kQueryRecordBytes, DirectCallOptions());
-      handoff_bytes += p2p::kMessageHeaderBytes + p2p::kQueryRecordBytes;
-      newcomer.RecordQuery(record);
-    }
-    tracer_.clock().AdvanceMs(latency_.TransferMs(handoff_bytes));
+        }));
     span.Annotate("handoff_bytes",
                   StrFormat("%llu",
                             static_cast<unsigned long long>(handoff_bytes)));
@@ -1635,6 +1590,32 @@ PeerId SpriteSystem::CompleteJoin(PeerId id) {
   metrics_.Add("peers.joined");
   UpdateMembershipGauges();
   return id;
+}
+
+uint64_t SpriteSystem::TransferKeys(PeerId to,
+                                    const IndexingPeer::Handoff& handoff) {
+  IndexingPeer& receiver = indexing_.at(to);
+  uint64_t bytes = 0;
+  for (const auto& [term, plist] : handoff.lists) {
+    bytes += bus_.CostSend(to, p2p::MessageType::kKeyTransfer,
+                           p2p::kTermBytes +
+                               plist->size() * p2p::kPostingEntryBytes,
+                           DirectCallOptions())
+                 .wire_bytes;
+    // Snapshot order is ascending doc id, so every AddPosting below hits
+    // the append fast path of the receiving store.
+    for (const PostingEntry& entry : *plist->Snapshot()) {
+      receiver.AddPosting(term, entry);
+    }
+  }
+  for (const QueryRecord& record : handoff.records) {
+    bytes += bus_.CostSend(to, p2p::MessageType::kKeyTransfer,
+                           p2p::kQueryRecordBytes, DirectCallOptions())
+                 .wire_bytes;
+    receiver.RecordQuery(record);
+  }
+  tracer_.clock().AdvanceMs(latency_.TransferMs(bytes));
+  return bytes;
 }
 
 Status SpriteSystem::RebalanceRange() {
@@ -1702,27 +1683,8 @@ Status SpriteSystem::LeavePeer(PeerId id) {
   // Hand every primary inverted list and cached query to the successor.
   const std::vector<PeerId> succs = ring_.SuccessorsOf(id, 1);
   SPRITE_CHECK(!succs.empty());
-  IndexingPeer& successor = indexing_.at(succs[0]);
-  IndexingPeer::Handoff handoff =
-      indexing_.at(id).ExtractEntries([](TermId) { return true; });
-  uint64_t handoff_bytes = 0;
-  for (auto& [term, plist] : handoff.lists) {
-    const size_t payload =
-        p2p::kTermBytes + plist->size() * p2p::kPostingEntryBytes;
-    (void)bus_.CostSend(succs[0], p2p::MessageType::kKeyTransfer, payload,
-                        DirectCallOptions());
-    handoff_bytes += p2p::kMessageHeaderBytes + payload;
-    for (const PostingEntry& entry : *plist->Snapshot()) {
-      successor.AddPosting(term, entry);
-    }
-  }
-  for (const QueryRecord& record : handoff.records) {
-    (void)bus_.CostSend(succs[0], p2p::MessageType::kKeyTransfer,
-                        p2p::kQueryRecordBytes, DirectCallOptions());
-    handoff_bytes += p2p::kMessageHeaderBytes + p2p::kQueryRecordBytes;
-    successor.RecordQuery(record);
-  }
-  tracer_.clock().AdvanceMs(latency_.TransferMs(handoff_bytes));
+  const uint64_t handoff_bytes = TransferKeys(
+      succs[0], indexing_.at(id).ExtractEntries([](TermId) { return true; }));
   span.Annotate("handoff_bytes",
                 StrFormat("%llu",
                           static_cast<unsigned long long>(handoff_bytes)));
@@ -1775,28 +1737,28 @@ size_t SpriteSystem::RunHeartbeats() {
     for (auto& [doc_id, owned] : owner.mutable_documents()) {
       for (const std::string& term : owned.index_terms) {
         const TermId id = TermDict::Global().Intern(term);
-        int hops = 0;
         obs::ScopedSpan probe_span(&tracer_, "heartbeat.probe",
                                    PeerNameOf(owner_id));
         probe_span.Annotate("term", term);
-        StatusOr<PeerId> target = RouteToTerm(owner_id, id, &hops);
+        StatusOr<dht::ChordRing::LookupResult> target =
+            ring_.CommitLookup(PlanRoute(owner_id, id));
         if (!target.ok()) continue;  // arc unreachable; retry next period
+        bus_.ChargeLookupHops(target->hops);
         const uint64_t bytes_before = probe_bytes;
-        (void)bus_.CostSend(target.value(), p2p::MessageType::kHeartbeat,
-                            p2p::kTermBytes, DirectCallOptions());
+        probe_bytes += bus_.CostSend(target->node, p2p::MessageType::kHeartbeat,
+                                     p2p::kTermBytes, DirectCallOptions())
+                           .wire_bytes;
         ++probes;
-        probe_hops += static_cast<uint64_t>(hops);
-        probe_bytes += p2p::kMessageHeaderBytes + p2p::kTermBytes;
+        probe_hops += static_cast<uint64_t>(target->hops);
         // A live peer that lost the posting (e.g. responsibility moved to
         // it after an unreplicated failure) gets it re-published.
-        IndexingPeer& peer = indexing_.at(target.value());
+        IndexingPeer& peer = indexing_.at(target->node);
         if (!peer.HasPosting(id, doc_id)) {
-          (void)bus_.CostSend(target.value(),
-                              p2p::MessageType::kPublishTerm,
-                              p2p::kTermBytes + p2p::kPostingEntryBytes,
-                              DirectCallOptions());
-          probe_bytes += p2p::kMessageHeaderBytes + p2p::kTermBytes +
-                         p2p::kPostingEntryBytes;
+          probe_bytes +=
+              bus_.CostSend(target->node, p2p::MessageType::kPublishTerm,
+                            p2p::kTermBytes + p2p::kPostingEntryBytes,
+                            DirectCallOptions())
+                  .wire_bytes;
           peer.AddPosting(id, MakePosting(owned, term, owner_id));
           ++republished;
         }
@@ -1907,6 +1869,7 @@ StatusOr<ir::RankedList> SpriteSystem::SearchWithExpansion(
   const size_t depth = std::min(feedback_docs, initial->size());
   std::vector<const corpus::Document*> feedback;
   obs::ScopedSpan fetch_span(&tracer_, "feedback.fetch", "system");
+  uint64_t feedback_requests = 0;
   uint64_t feedback_bytes = 0;
   for (size_t i = 0; i < depth; ++i) {
     const DocId doc = (*initial)[i].doc;
@@ -1915,18 +1878,20 @@ StatusOr<ir::RankedList> SpriteSystem::SearchWithExpansion(
     const OwnedDocument* owned =
         owners_.at(owner_it->second).document(doc);
     if (owned == nullptr) continue;
-    (void)bus_.BeginExchange(owner_it->second,
-                             p2p::MessageType::kQueryRequest, p2p::kTermBytes,
-                             DirectCallOptions());
-    bus_.CompleteExchange(p2p::MessageType::kQueryResponse,
-                          static_cast<size_t>(owned->content->length()) * 6);
-    feedback_bytes += 2 * p2p::kMessageHeaderBytes + p2p::kTermBytes +
-                      static_cast<uint64_t>(owned->content->length()) * 6;
+    const net::Charge request =
+        bus_.BeginExchange(owner_it->second, p2p::MessageType::kQueryRequest,
+                           p2p::kTermBytes, DirectCallOptions());
+    ++feedback_requests;
+    feedback_bytes += request.wire_bytes;
+    // An owner that is down serves no content to analyze.
+    if (!request.status.ok()) continue;
+    feedback_bytes += bus_.CompleteExchange(
+        p2p::MessageType::kQueryResponse,
+        static_cast<size_t>(owned->content->length()) * 6);
     feedback.push_back(owned->content);
   }
-  tracer_.clock().AdvanceMs(
-      latency_.RequestMs(feedback.size()) +
-      latency_.TransferMs(feedback_bytes));
+  tracer_.clock().AdvanceMs(latency_.RequestMs(feedback_requests) +
+                            latency_.TransferMs(feedback_bytes));
   fetch_span.Annotate("docs", StrFormat("%zu", feedback.size()));
   fetch_span.End();
 

@@ -70,8 +70,8 @@ struct MissAttribution {
 // publication, query processing) shared — which is exactly what the
 // paper's comparison isolates.
 //
-// All traffic a real deployment would send is counted in network_stats();
-// Chord routing hops are additionally available via ring().stats().
+// All traffic a real deployment would send, Chord hops included, is
+// charged through one simulated bus and counted in network_stats().
 class SpriteSystem {
  public:
   explicit SpriteSystem(SpriteConfig config);
@@ -200,24 +200,21 @@ class SpriteSystem {
 
   const dht::ChordRing& ring() const { return ring_; }
   dht::ChordRing& mutable_ring() { return ring_; }
-  const p2p::NetworkStats& network_stats() const { return net_.stats(); }
-  // The simulated bus every direct send and exchange goes through
-  // (DESIGN.md §14). Its per-type frame/timeout/retry counters mirror the
-  // accountant's view at the transport layer.
-  const net::Transport& transport() const { return bus_; }
+  // The stats of the simulated bus every lookup hop, direct send and
+  // exchange goes through (DESIGN.md §14): the one traffic ledger, plus
+  // per-type timeouts and retries. network_stats() is its traffic table.
   const net::TransportStats& transport_stats() const { return bus_.stats(); }
-  net::SimTransport& mutable_bus() { return bus_; }
+  const p2p::NetworkStats& network_stats() const {
+    return bus_.stats().traffic();
+  }
   // Deadline/retry policy for direct exchanges, from the config knobs.
   net::CallOptions DirectCallOptions() const {
     return net::CallOptions{config_.peer_timeout_ms, config_.send_retries,
                             config_.retry_backoff_ms};
   }
-  // Resets the traffic accounting; the accountant also drops its mirrored
-  // net.* counters from the registry so both views stay in sync.
-  void ClearNetworkStats() {
-    net_.Clear();
-    bus_.mutable_stats().Clear();
-  }
+  // Resets the bus's traffic ledger, which also drops its mirrored net.*
+  // and transport.* counters from the registry so both views stay in sync.
+  void ClearNetworkStats() { bus_.mutable_stats().Clear(); }
   // The observability registry: per-phase counters and latency histograms
   // for search (route/fetch/rank), learning polls, heartbeats, replication
   // and rebalancing, plus the per-message-type traffic mirrored from
@@ -231,7 +228,6 @@ class SpriteSystem {
   // view would leave the mirrors disagreeing).
   void ClearMetrics() {
     metrics_.Clear();
-    net_.Clear();
     bus_.mutable_stats().Clear();
     ring_.ClearStats();
     cache_.ClearStats();  // stats only: cached contents stay warm
@@ -338,11 +334,6 @@ class SpriteSystem {
   dht::ChordRing::LookupPlan PlanRoute(PeerId from, TermId term) const {
     return ring_.PlanFindSuccessor(from, RingKeyOf(term));
   }
-  // Routes from `from` to the peer responsible for `term`, counting hops.
-  // When `hops_out` is non-null it receives the hop count of this lookup
-  // (untouched on failure), so callers can attribute per-phase latency.
-  StatusOr<PeerId> RouteToTerm(PeerId from, TermId term,
-                               int* hops_out = nullptr);
   // Stamps a new issuance: deduped terms, ring hash key, fresh seq.
   QueryRecord MakeQueryRecord(const corpus::Query& query);
   // Refreshes the peers.alive / peers.total gauges after membership events.
@@ -358,6 +349,10 @@ class SpriteSystem {
   // node already on the ring and pulls the key-arc handoff from its
   // successor.
   PeerId CompleteJoin(PeerId id);
+  // Sends a key-arc handoff to `to` as kKeyTransfer messages (one per
+  // inverted list, one per cached query) and installs it there; advances
+  // the clock by the transfer. Returns the wire bytes charged.
+  uint64_t TransferKeys(PeerId to, const IndexingPeer::Handoff& handoff);
   // Runs the version-check protocol for a cached entry built from
   // `sources`: one direct kVersionCheck exchange per distinct source peer
   // (the querying peer cached the addresses with the entry, so no Chord
@@ -455,15 +450,15 @@ class SpriteSystem {
   bool TermServesDoc(TermId term, DocId doc) const;
 
   SpriteConfig config_;
-  // Declared before ring_ and net_, which hold pointers into them.
+  // Declared before ring_ and bus_, which hold pointers into them.
   obs::MetricsRegistry metrics_;
   obs::Tracer tracer_;
   obs::LatencyModel latency_;
   dht::ChordRing ring_;
-  p2p::NetworkAccountant net_;
-  // The transport seam: direct sends/exchanges are charged through the
-  // bus, which owns the unreachable-peer timeout/retry semantics. Holds
-  // pointers into net_, ring_ and tracer_, so declared after them.
+  // The transport seam and traffic ledger: lookup hops, direct sends and
+  // exchanges are charged through the bus, which sizes every message and
+  // owns the unreachable-peer timeout/retry semantics. Holds pointers into
+  // metrics_, ring_ and tracer_, so declared after them.
   net::SimTransport bus_;
   cache::CacheManager cache_;
   obs::TimeSeriesRecorder timeseries_;

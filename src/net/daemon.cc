@@ -46,12 +46,12 @@ Daemon::Daemon(DaemonOptions options)
       transport_(dht::IdSpace(options.config.id_bits)
                      .KeyForString(options.name)),
       cluster_(ClusterOptions{options.name, options.config}, &transport_) {
-  // Live observability wiring (DESIGN.md §16): transport counters + RTT
-  // histograms mirror into this daemon's registry (mirror_traffic on — no
-  // NetworkAccountant exists here to double-count against), and the tracer
+  // Live observability wiring (DESIGN.md §16): the socket transport's one
+  // traffic ledger mirrors into this daemon's registry as
+  // transport.frames/transport.bytes plus RTT histograms, and the tracer
   // runs on a wall clock with ids salted by this node's ring id so traces
   // minted on different daemons never collide.
-  transport_.mutable_stats().AttachMetrics(&metrics_, /*mirror_traffic=*/true);
+  transport_.mutable_stats().AttachMetrics(&metrics_);
   cluster_.AttachObservability(&metrics_, &tracer_);
   tracer_.set_time_source(&wall_clock_);
   tracer_.set_id_salt(cluster_.self().id);

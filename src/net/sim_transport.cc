@@ -14,32 +14,15 @@ double BackoffMs(const CallOptions& opts, size_t retry_index) {
 
 }  // namespace
 
-bool SimTransport::Reachable(p2p::PeerId id) const {
-  if (down_.count(id) != 0) return false;
-  if (handlers_.count(id) != 0) return true;
-  // Fall back to the cost-model liveness view when no handler registry is
-  // in use (the SpriteSystem seam).
-  if (reachable_) return reachable_(id);
-  return false;
-}
-
 StatusOr<wire::Frame> SimTransport::Call(const PeerAddress& to,
                                          const wire::Frame& request,
                                          const CallOptions& opts) {
   auto it = handlers_.find(to.id);
   const bool answering = it != handlers_.end() && down_.count(to.id) == 0;
+  ChargeRequest(request.type, request.wire_size(), answering, opts);
   if (!answering) {
-    for (size_t attempt = 0; attempt <= opts.retries; ++attempt) {
-      stats_.CountFrame(request.type, request.wire_size());
-      if (attempt < opts.retries) {
-        stats_.CountRetry(request.type);
-        if (advance_ms_) advance_ms_(BackoffMs(opts, attempt));
-      }
-    }
-    stats_.CountTimeout(request.type);
     return Status::DeadlineExceeded("peer unreachable on sim bus");
   }
-  stats_.CountFrame(request.type, request.wire_size());
   StatusOr<wire::Frame> response = it->second(request);
   if (response.ok()) {
     stats_.CountFrame(response->type, response->wire_size());
@@ -62,31 +45,47 @@ Status SimTransport::Send(const PeerAddress& to, const wire::Frame& frame,
   return Status::OK();
 }
 
-Status SimTransport::CostSend(p2p::PeerId to, p2p::MessageType type,
-                              size_t payload_bytes, const CallOptions& opts) {
-  const size_t wire_bytes = p2p::kMessageHeaderBytes + payload_bytes;
-  const bool up = reachable_ ? reachable_(to) : true;
-  if (up) {
-    if (net_ != nullptr) net_->Count(type, payload_bytes);
+uint64_t SimTransport::ChargeRequest(p2p::MessageType type,
+                                     uint64_t wire_bytes, bool up,
+                                     const CallOptions& opts) {
+  const size_t attempts = up ? 1 : opts.retries + 1;
+  for (size_t attempt = 0; attempt < attempts; ++attempt) {
     stats_.CountFrame(type, wire_bytes);
-    return Status::OK();
-  }
-  for (size_t attempt = 0; attempt <= opts.retries; ++attempt) {
-    if (net_ != nullptr) net_->Count(type, payload_bytes);
-    stats_.CountFrame(type, wire_bytes);
-    if (attempt < opts.retries) {
+    if (attempt + 1 < attempts) {
       stats_.CountRetry(type);
       if (advance_ms_) advance_ms_(BackoffMs(opts, attempt));
     }
   }
-  stats_.CountTimeout(type);
-  return Status::DeadlineExceeded("direct send to departed peer timed out");
+  if (!up) stats_.CountTimeout(type);
+  return attempts;
 }
 
-void SimTransport::CompleteExchange(p2p::MessageType type,
-                                    size_t payload_bytes) {
-  if (net_ != nullptr) net_->Count(type, payload_bytes);
-  stats_.CountFrame(type, p2p::kMessageHeaderBytes + payload_bytes);
+Charge SimTransport::CostSend(p2p::PeerId to, p2p::MessageType type,
+                              size_t payload_bytes, const CallOptions& opts) {
+  const bool up = reachable_ ? reachable_(to) : true;
+  const uint64_t wire_bytes = p2p::kMessageHeaderBytes + payload_bytes;
+  Charge charge;
+  charge.attempts = ChargeRequest(type, wire_bytes, up, opts);
+  charge.wire_bytes = charge.attempts * wire_bytes;
+  if (!up) {
+    charge.status =
+        Status::DeadlineExceeded("direct send to departed peer timed out");
+  }
+  return charge;
+}
+
+uint64_t SimTransport::CompleteExchange(p2p::MessageType type,
+                                        size_t payload_bytes) {
+  const uint64_t wire_bytes = p2p::kMessageHeaderBytes + payload_bytes;
+  stats_.CountFrame(type, wire_bytes);
+  return wire_bytes;
+}
+
+void SimTransport::ChargeLookupHops(int hops) {
+  if (hops <= 0) return;
+  const uint64_t n = static_cast<uint64_t>(hops);
+  stats_.CountTraffic(p2p::MessageType::kLookupHop, n,
+                      n * p2p::kLookupHopBytes);
 }
 
 }  // namespace sprite::net

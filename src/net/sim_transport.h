@@ -1,15 +1,27 @@
 #ifndef SPRITE_NET_SIM_TRANSPORT_H_
 #define SPRITE_NET_SIM_TRANSPORT_H_
 
+#include <cstdint>
 #include <functional>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "common/status.h"
 #include "net/transport.h"
-#include "p2p/network.h"
 
 namespace sprite::net {
+
+// What one cost-seam send charged: its outcome, the request legs sent
+// (1 + retries when the peer stays silent) and the wire bytes of every
+// attempt, header included. Callers feed these figures to the latency
+// model and the simulated clock, so the bus is the only place a message
+// is sized.
+struct Charge {
+  Status status;
+  uint64_t attempts = 0;
+  uint64_t wire_bytes = 0;
+};
 
 // The in-process simulated bus. It serves two roles:
 //
@@ -20,17 +32,17 @@ namespace sprite::net {
 //
 //  2. The cost-model seam for SpriteSystem: the simulation never encodes
 //     its hot-path traffic (posting-list fetches are zero-copy snapshots),
-//     so direct sends go through CostSend/BeginExchange/CompleteExchange,
-//     which charge the legacy NetworkAccountant model — byte-for-byte what
-//     the pre-transport code charged — while surfacing typed unreachable-
-//     peer statuses and honoring the retry/backoff knobs.
+//     so direct sends go through CostSend/BeginExchange/CompleteExchange
+//     and Chord routing through ChargeLookupHops. Each charges its
+//     messages to stats() — the simulation's one traffic ledger, mirrored
+//     as net.messages/net.bytes and as net.<Type>.* span annotations —
+//     while surfacing typed unreachable-peer statuses and honoring the
+//     retry/backoff knobs.
 //
 // The request leg of a send is always charged, reachable or not: the bytes
 // leave the sender either way, and only then does the peer's silence turn
 // into a timeout. With the default CallOptions (retries = 0) an
-// unreachable peer therefore costs exactly one request and no response —
-// precisely the accounting the simulation has always used for a dead
-// peer's version-check probe.
+// unreachable peer therefore costs exactly one request and no response.
 //
 // Single-threaded by design: the parallel epoch engine only touches the
 // bus from its serialized commit phase.
@@ -43,7 +55,6 @@ class SimTransport : public Transport {
     handlers_[id] = std::move(handler);
     down_.erase(id);
   }
-  void Unregister(p2p::PeerId id) { handlers_.erase(id); }
   // Simulates a partition/crash: the peer stays registered but stops
   // answering, so senders observe timeouts instead of instant failures.
   void SetDown(p2p::PeerId id, bool down) {
@@ -62,41 +73,47 @@ class SimTransport : public Transport {
   TransportStats& mutable_stats() { return stats_; }
 
   // --- Cost-model seam ---------------------------------------------------
-  // `net` aggregates charged traffic; `reachable` answers peer liveness;
-  // `advance_ms` advances the simulated clock during retry backoff waits.
-  // All three must outlive this transport. Pass nullptrs/empty to detach.
-  void ConfigureCostModel(p2p::NetworkAccountant* net,
-                          std::function<bool(p2p::PeerId)> reachable,
+  // `reachable` answers peer liveness; `advance_ms` advances the simulated
+  // clock during retry backoff waits. Both must outlive this transport.
+  // Pass empty functions to detach.
+  void ConfigureCostModel(std::function<bool(p2p::PeerId)> reachable,
                           std::function<void(double)> advance_ms) {
-    net_ = net;
     reachable_ = std::move(reachable);
     advance_ms_ = std::move(advance_ms);
   }
 
-  // One-way direct send under the cost model. Charges one request per
-  // attempt; between attempts advances the sim clock by the exponential
-  // backoff wait. Returns DeadlineExceeded when `to` stays unreachable
-  // through every attempt.
-  Status CostSend(p2p::PeerId to, p2p::MessageType type, size_t payload_bytes,
+  // One-way direct send under the cost model. Charges one request of
+  // kMessageHeaderBytes + `payload_bytes` per attempt; between attempts
+  // advances the sim clock by the exponential backoff wait. The status is
+  // DeadlineExceeded when `to` stays unreachable through every attempt.
+  Charge CostSend(p2p::PeerId to, p2p::MessageType type, size_t payload_bytes,
                   const CallOptions& opts);
 
   // Request leg of a request/response exchange; same semantics as
   // CostSend.
-  Status BeginExchange(p2p::PeerId to, p2p::MessageType type,
+  Charge BeginExchange(p2p::PeerId to, p2p::MessageType type,
                        size_t payload_bytes, const CallOptions& opts) {
     return CostSend(to, type, payload_bytes, opts);
   }
 
-  // Response leg; call only after BeginExchange returned OK.
-  void CompleteExchange(p2p::MessageType type, size_t payload_bytes);
+  // Response leg; call only after BeginExchange succeeded. Returns the
+  // wire bytes charged.
+  uint64_t CompleteExchange(p2p::MessageType type, size_t payload_bytes);
+
+  // Charges `hops` Chord routing hops of kLookupHopBytes each; zero or
+  // negative hops charge nothing.
+  void ChargeLookupHops(int hops);
 
  private:
-  bool Reachable(p2p::PeerId id) const;
+  // Books a request leg of `wire_bytes`: one attempt when `up`, otherwise
+  // 1 + opts.retries attempts with backoff waits between them, then a
+  // timeout. Returns the number of attempts.
+  uint64_t ChargeRequest(p2p::MessageType type, uint64_t wire_bytes, bool up,
+                         const CallOptions& opts);
 
   std::unordered_map<p2p::PeerId, Handler> handlers_;
   std::unordered_set<p2p::PeerId> down_;
-  TransportStats stats_;
-  p2p::NetworkAccountant* net_ = nullptr;
+  TransportStats stats_{"net.messages", "net.bytes"};
   std::function<bool(p2p::PeerId)> reachable_;
   std::function<void(double)> advance_ms_;
 };

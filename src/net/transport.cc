@@ -12,12 +12,19 @@ std::string Label(p2p::MessageType type) {
 
 }  // namespace
 
-void TransportStats::CountFrame(p2p::MessageType type, size_t wire_bytes) {
-  frames_[Idx(type)] += 1;
-  bytes_[Idx(type)] += wire_bytes;
-  if (metrics_ != nullptr && mirror_traffic_) {
-    metrics_->Add("transport.frames", Label(type), 1);
-    metrics_->Add("transport.bytes", Label(type), wire_bytes);
+void TransportStats::CountTraffic(p2p::MessageType type, uint64_t messages,
+                                  uint64_t wire_bytes) {
+  traffic_.messages[Idx(type)] += messages;
+  traffic_.bytes[Idx(type)] += wire_bytes;
+  if (metrics_ != nullptr) {
+    const std::string label = Label(type);
+    metrics_->Add(messages_counter_, label, messages);
+    metrics_->Add(bytes_counter_, label, wire_bytes);
+  }
+  if (tracer_ != nullptr && tracer_->InActiveSpan()) {
+    const std::string key = "net." + Label(type);
+    tracer_->AnnotateAdd(key + ".msgs", messages);
+    tracer_->AnnotateAdd(key + ".bytes", wire_bytes);
   }
 }
 
@@ -39,17 +46,9 @@ void TransportStats::ObserveRtt(p2p::MessageType type, double rtt_us) {
   if (rtt_us < 0.0) return;
   rtt_count_[Idx(type)] += 1;
   rtt_sum_us_[Idx(type)] += rtt_us;
-  if (metrics_ != nullptr && mirror_traffic_) {
+  if (metrics_ != nullptr) {
     metrics_->Observe("transport.rtt_us", Label(type), rtt_us);
   }
-}
-
-uint64_t TransportStats::TotalFrames() const {
-  return std::accumulate(frames_.begin(), frames_.end(), uint64_t{0});
-}
-
-uint64_t TransportStats::TotalBytes() const {
-  return std::accumulate(bytes_.begin(), bytes_.end(), uint64_t{0});
 }
 
 uint64_t TransportStats::TotalTimeouts() const {
@@ -61,15 +60,14 @@ uint64_t TransportStats::TotalRetries() const {
 }
 
 void TransportStats::Clear() {
-  frames_.fill(0);
-  bytes_.fill(0);
+  traffic_.Clear();
   timeouts_.fill(0);
   retries_.fill(0);
   rtt_count_.fill(0);
   rtt_sum_us_.fill(0.0);
   if (metrics_ != nullptr) {
-    metrics_->EraseByName("transport.frames");
-    metrics_->EraseByName("transport.bytes");
+    metrics_->EraseByName(messages_counter_);
+    metrics_->EraseByName(bytes_counter_);
     metrics_->EraseByName("transport.timeouts");
     metrics_->EraseByName("transport.retries");
     metrics_->EraseByName("transport.rtt_us");

@@ -4,26 +4,29 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "common/status.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "p2p/message.h"
+#include "p2p/network.h"
 #include "net/wire.h"
 
 // The Transport abstraction (DESIGN.md §14): how one SPRITE peer exchanges
 // a wire::Frame with another. Two backends exist —
 //
 //   * SimTransport (net/sim_transport.h): the in-process simulated bus.
-//     Frames are delivered as direct function calls; traffic is charged to
-//     the legacy cost model so every sim bench/test stays byte-identical.
+//     Frames are delivered as direct function calls, and SpriteSystem's
+//     direct sends and lookup hops are charged through its cost seam.
 //   * SocketTransport (net/socket_transport.h): real sockets — UDP for
 //     routing/control, TCP for bulk posting transfer.
 //
 // Unreachable peers are a normal condition, not an error: a Call to a
 // departed peer times out after `CallOptions::retries` resends and surfaces
-// Status::DeadlineExceeded; every attempt is counted in the per-type
-// TransportStats (frames/bytes/timeouts/retries), the transport-layer
-// mirror of p2p::NetworkAccountant.
+// Status::DeadlineExceeded. Every attempt is counted in the backend's
+// TransportStats, the one ledger of its traffic (messages and bytes per
+// type) plus timeouts, retries and round-trip times.
 namespace sprite::net {
 
 // Where a peer can be reached. In-process backends only need `id`; socket
@@ -46,56 +49,63 @@ struct CallOptions {
   double backoff_ms = 200.0;
 };
 
-// Per-message-type transport counters: frames/bytes actually moved (or, on
-// the sim backend, charged), plus timeouts and retries. Mirrors into an
-// obs registry as "transport.*" counters labeled by message type; Clear()
-// erases the mirrored counters, preserving the repo's reset invariant.
+// Per-message-type transport counters: the traffic table (messages and
+// wire bytes moved or, on the sim backend, charged — each booked once)
+// plus timeouts, retries and round-trip times. Mirrors into an attached
+// obs registry labeled by message type; Clear() erases the mirrored
+// names, preserving the repo's reset invariant.
 class TransportStats {
  public:
-  // `mirror_traffic` controls whether frames/bytes mirror into the
-  // registry. The sim backend disables it — its traffic already mirrors
-  // through NetworkAccountant as net.*, and a second copy would change the
-  // dumps — while timeouts/retries (which the accountant cannot see)
-  // always mirror when a registry is attached.
-  void AttachMetrics(obs::MetricsRegistry* metrics, bool mirror_traffic) {
-    metrics_ = metrics;
-    mirror_traffic_ = mirror_traffic;
-  }
+  // Registry names of the traffic mirror; the defaults are the socket
+  // backend's. The sim bus books as net.messages and net.bytes, the names
+  // every simulation dump uses.
+  explicit TransportStats(std::string messages_counter = "transport.frames",
+                          std::string bytes_counter = "transport.bytes")
+      : messages_counter_(std::move(messages_counter)),
+        bytes_counter_(std::move(bytes_counter)) {}
 
-  void CountFrame(p2p::MessageType type, size_t wire_bytes);
+  // The registry must outlive these stats; nullptr detaches.
+  void AttachMetrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
+  // Annotates every booked message onto the innermost active span as
+  // "net.<Type>.msgs" / "net.<Type>.bytes". The tracer must outlive these
+  // stats; nullptr detaches.
+  void AttachTracer(obs::Tracer* tracer) { tracer_ = tracer; }
+
+  // Books `messages` messages of `type` totalling `wire_bytes`.
+  void CountTraffic(p2p::MessageType type, uint64_t messages,
+                    uint64_t wire_bytes);
+  void CountFrame(p2p::MessageType type, size_t wire_bytes) {
+    CountTraffic(type, 1, wire_bytes);
+  }
   void CountTimeout(p2p::MessageType type);
   void CountRetry(p2p::MessageType type);
-  // Records one request→response round-trip wall time. Mirrors into the
-  // registry as a "transport.rtt_us" histogram labeled by message type,
-  // gated on `mirror_traffic` like frames/bytes: the sim backend never
-  // observes RTTs, so wall time cannot leak into deterministic dumps.
+  // Records one request→response round-trip wall time. Only the socket
+  // backend observes RTTs, so wall time never reaches a sim dump.
   void ObserveRtt(p2p::MessageType type, double rtt_us);
 
-  uint64_t FramesOf(p2p::MessageType t) const { return frames_[Idx(t)]; }
-  uint64_t BytesOf(p2p::MessageType t) const { return bytes_[Idx(t)]; }
+  const p2p::NetworkStats& traffic() const { return traffic_; }
   uint64_t TimeoutsOf(p2p::MessageType t) const { return timeouts_[Idx(t)]; }
   uint64_t RetriesOf(p2p::MessageType t) const { return retries_[Idx(t)]; }
   uint64_t RttCountOf(p2p::MessageType t) const { return rtt_count_[Idx(t)]; }
   double RttSumUsOf(p2p::MessageType t) const { return rtt_sum_us_[Idx(t)]; }
-  uint64_t TotalFrames() const;
-  uint64_t TotalBytes() const;
   uint64_t TotalTimeouts() const;
   uint64_t TotalRetries() const;
 
-  // Resets the counters and drops every mirrored transport.* registry
-  // counter, so both views stay in sync across resets.
+  // Resets the counters and drops every mirrored registry counter, so
+  // both views stay in sync across resets.
   void Clear();
 
  private:
   static size_t Idx(p2p::MessageType t) { return static_cast<size_t>(t); }
-  std::array<uint64_t, p2p::kNumMessageTypes> frames_{};
-  std::array<uint64_t, p2p::kNumMessageTypes> bytes_{};
+  std::string messages_counter_;
+  std::string bytes_counter_;
+  p2p::NetworkStats traffic_;
   std::array<uint64_t, p2p::kNumMessageTypes> timeouts_{};
   std::array<uint64_t, p2p::kNumMessageTypes> retries_{};
   std::array<uint64_t, p2p::kNumMessageTypes> rtt_count_{};
   std::array<double, p2p::kNumMessageTypes> rtt_sum_us_{};
   obs::MetricsRegistry* metrics_ = nullptr;
-  bool mirror_traffic_ = false;
+  obs::Tracer* tracer_ = nullptr;
 };
 
 // Abstract frame transport.

@@ -79,46 +79,4 @@ std::string NetworkStats::ToString() const {
   return out;
 }
 
-void NetworkAccountant::Count(MessageType type, size_t payload_bytes) {
-  const size_t i = static_cast<size_t>(type);
-  const uint64_t wire_bytes = kMessageHeaderBytes + payload_bytes;
-  stats_.messages[i] += 1;
-  stats_.bytes[i] += wire_bytes;
-  if (metrics_ != nullptr) {
-    const std::string label(MessageTypeName(type));
-    metrics_->Add("net.messages", label, 1);
-    metrics_->Add("net.bytes", label, wire_bytes);
-  }
-  if (tracer_ != nullptr && tracer_->InActiveSpan()) {
-    const std::string label(MessageTypeName(type));
-    tracer_->AnnotateAdd("net." + label + ".msgs", 1);
-    tracer_->AnnotateAdd("net." + label + ".bytes", wire_bytes);
-  }
-}
-
-void NetworkAccountant::CountLookupHops(int hops) {
-  if (hops <= 0) return;
-  const size_t i = static_cast<size_t>(MessageType::kLookupHop);
-  const uint64_t hop_bytes = static_cast<uint64_t>(hops) * kLookupHopBytes;
-  stats_.messages[i] += static_cast<uint64_t>(hops);
-  stats_.bytes[i] += hop_bytes;
-  if (metrics_ != nullptr) {
-    const std::string label(MessageTypeName(MessageType::kLookupHop));
-    metrics_->Add("net.messages", label, static_cast<uint64_t>(hops));
-    metrics_->Add("net.bytes", label, hop_bytes);
-  }
-  if (tracer_ != nullptr && tracer_->InActiveSpan()) {
-    tracer_->AnnotateAdd("net.LookupHop.msgs", static_cast<uint64_t>(hops));
-    tracer_->AnnotateAdd("net.LookupHop.bytes", hop_bytes);
-  }
-}
-
-void NetworkAccountant::Clear() {
-  stats_.Clear();
-  if (metrics_ != nullptr) {
-    metrics_->EraseByName("net.messages");
-    metrics_->EraseByName("net.bytes");
-  }
-}
-
 }  // namespace sprite::p2p

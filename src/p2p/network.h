@@ -5,13 +5,13 @@
 #include <cstdint>
 #include <string>
 
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "p2p/message.h"
 
 namespace sprite::p2p {
 
-// Per-message-type traffic counters.
+// Per-message-type traffic counters: messages and wire bytes (header
+// included). The one traffic table of a transport (net::TransportStats);
+// the simulation's figures are read from its bus.
 struct NetworkStats {
   std::array<uint64_t, kNumMessageTypes> messages{};
   std::array<uint64_t, kNumMessageTypes> bytes{};
@@ -29,41 +29,6 @@ struct NetworkStats {
 
   // Multi-line table of non-zero rows, for bench output.
   std::string ToString() const;
-};
-
-// Central accountant for simulated traffic. The simulation executes
-// everything as in-process calls; peers report what a real deployment would
-// have sent and this class aggregates it.
-class NetworkAccountant {
- public:
-  NetworkAccountant() = default;
-
-  // Records one application message of `type` carrying `payload_bytes`
-  // (header added automatically).
-  void Count(MessageType type, size_t payload_bytes);
-
-  // Records `hops` Chord routing hops (small fixed-size messages).
-  void CountLookupHops(int hops);
-
-  // Mirrors every count into `metrics` as "net.messages"/"net.bytes"
-  // counters labeled by message type. Pass nullptr to detach. The registry
-  // must outlive this accountant.
-  void AttachMetrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
-
-  // Annotates per-message-type msg/byte totals onto the innermost active
-  // span ("net.<Type>.msgs" / "net.<Type>.bytes"). Pass nullptr to detach.
-  // The tracer must outlive this accountant.
-  void AttachTracer(obs::Tracer* tracer) { tracer_ = tracer; }
-
-  const NetworkStats& stats() const { return stats_; }
-  // Resets the stats and drops the mirrored net.* registry counters, so
-  // both views stay in sync across resets.
-  void Clear();
-
- private:
-  NetworkStats stats_;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::Tracer* tracer_ = nullptr;
 };
 
 }  // namespace sprite::p2p

@@ -273,6 +273,40 @@ TEST_F(SpriteSystemTest, OverloadAdvisoryReplacesPopularTerm) {
             0u);
 }
 
+TEST_F(SpriteSystemTest, OverloadAdvisoryToDownOwnerChangesNothing) {
+  corpus::Corpus corpus;
+  for (int i = 0; i < 6; ++i) {
+    const std::string w = "w" + std::to_string(i);
+    corpus.AddDocument(
+        TV({"hot", "hot", "hot", w, w, "x" + std::to_string(i)}));
+  }
+  SpriteConfig config = SmallConfig();
+  config.initial_terms = 2;  // {hot, w<i>}; x<i> is the next candidate
+  SpriteSystem system(config);
+  ASSERT_TRUE(system.ShareCorpus(corpus).ok());
+  const PeerId down = system.OwnerOf(0);
+  const uint64_t hot_key = system.ring().space().KeyForString("hot");
+  ASSERT_NE(system.ring().ResponsibleNode(hot_key).value(), down);
+  size_t down_docs = 0;
+  for (corpus::DocId d = 0; d < 6; ++d) {
+    if (system.OwnerOf(d) == down) ++down_docs;
+  }
+  ASSERT_TRUE(system.FailPeer(down).ok());
+
+  const size_t replaced = system.RunOverloadAdvisories(/*threshold=*/3);
+  // Only owners that heard the advisory replace the term.
+  EXPECT_EQ(replaced, 6u - down_docs);
+  EXPECT_EQ(system.transport_stats().TimeoutsOf(p2p::MessageType::kAdvisory),
+            down_docs);
+  EXPECT_EQ(*system.IndexTermsOf(0), (std::vector<std::string>{"hot", "w0"}));
+  for (corpus::DocId d = 0; d < 6; ++d) {
+    if (system.OwnerOf(d) == down) continue;
+    const auto* terms = system.IndexTermsOf(d);
+    EXPECT_EQ(std::count(terms->begin(), terms->end(), "hot"), 0)
+        << "doc " << d;
+  }
+}
+
 TEST_F(SpriteSystemTest, RecordQueryPopulatesHistories) {
   SpriteSystem system(SmallConfig());
   system.RecordQuery(Q(1, {"alpha", "beta"}));
@@ -451,6 +485,29 @@ TEST_F(SpriteSystemTest, SearchWithExpansionZeroExtraEqualsPlain) {
   for (size_t i = 0; i < plain->size(); ++i) {
     EXPECT_EQ((*expanded)[i].doc, (*plain)[i].doc);
   }
+}
+
+TEST_F(SpriteSystemTest, SearchWithExpansionSkipsDocsOfDownOwners) {
+  SpriteSystem system(SmallConfig());
+  ASSERT_TRUE(system.ShareCorpus(corpus_).ok());
+  auto plain = system.Search(Q(1, {"cat"}), 10, false);
+  ASSERT_TRUE(plain.ok());
+  ASSERT_GE(plain->size(), 2u);
+  const PeerId down = system.OwnerOf(plain->front().doc);
+  const uint64_t cat_key = system.ring().space().KeyForString("cat");
+  ASSERT_NE(system.ring().ResponsibleNode(cat_key).value(), down);
+  ASSERT_TRUE(system.FailPeer(down).ok());
+  system.ClearNetworkStats();
+
+  auto expanded = system.SearchWithExpansion(Q(1, {"cat"}), 10, 2, 2);
+  ASSERT_TRUE(expanded.ok());
+  const p2p::NetworkStats& traffic = system.network_stats();
+  const uint64_t timeouts =
+      system.transport_stats().TimeoutsOf(p2p::MessageType::kQueryRequest);
+  // The down owner's feedback request times out and gets no response.
+  EXPECT_EQ(timeouts, 1u);
+  EXPECT_EQ(traffic.MessagesOf(p2p::MessageType::kQueryResponse),
+            traffic.MessagesOf(p2p::MessageType::kQueryRequest) - timeouts);
 }
 
 TEST_F(SpriteSystemTest, UpdateDocumentRefreshesPostings) {

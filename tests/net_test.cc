@@ -1,6 +1,6 @@
-// Transport-subsystem tests (ISSUE 8): SimTransport's cost-model seam
-// (legacy-identical accounting, typed unreachable-peer statuses, the
-// retry/backoff knobs), the frame-level sim bus, and a three-node
+// Transport-subsystem tests: SimTransport's cost-model seam (the
+// traffic it books and the wire bytes it reports, typed unreachable-peer
+// statuses, the retry/backoff knobs), the frame-level sim bus, and a three-node
 // in-process ClusterNode cluster whose join/publish/record/learn/search
 // life cycle must reproduce the simulation's rankings bit for bit — the
 // in-process twin of the multi-process daemon smoke in tools/ci.sh.
@@ -33,49 +33,42 @@ using p2p::MessageType;
 
 struct CostFixture {
   SimTransport bus;
-  p2p::NetworkAccountant net;
   double clock_ms = 0.0;
   bool peer_up = true;
 
   CostFixture() {
-    bus.ConfigureCostModel(
-        &net, [this](p2p::PeerId) { return peer_up; },
-        [this](double ms) { clock_ms += ms; });
+    bus.ConfigureCostModel([this](p2p::PeerId) { return peer_up; },
+                           [this](double ms) { clock_ms += ms; });
   }
+  const p2p::NetworkStats& traffic() const { return bus.stats().traffic(); }
 };
 
-TEST(SimTransportCostTest, AliveSendChargesLegacyBytes) {
+TEST(SimTransportCostTest, AliveSendChargesHeaderPlusPayload) {
   CostFixture f;
-  const Status sent =
+  const Charge sent =
       f.bus.CostSend(7, MessageType::kPublishTerm, 44, CallOptions{});
-  EXPECT_TRUE(sent.ok());
-  // Exactly what NetworkAccountant::Count(type, 44) has always booked.
-  EXPECT_EQ(f.net.stats().MessagesOf(MessageType::kPublishTerm), 1u);
-  EXPECT_EQ(f.net.stats().BytesOf(MessageType::kPublishTerm),
-            p2p::kMessageHeaderBytes + 44);
-  // The transport-layer mirror agrees and sees no failures.
-  EXPECT_EQ(f.bus.stats().FramesOf(MessageType::kPublishTerm), 1u);
-  EXPECT_EQ(f.bus.stats().BytesOf(MessageType::kPublishTerm),
+  EXPECT_TRUE(sent.status.ok());
+  EXPECT_EQ(f.traffic().MessagesOf(MessageType::kPublishTerm), 1u);
+  EXPECT_EQ(f.traffic().BytesOf(MessageType::kPublishTerm),
             p2p::kMessageHeaderBytes + 44);
   EXPECT_EQ(f.bus.stats().TotalTimeouts(), 0u);
   EXPECT_EQ(f.bus.stats().TotalRetries(), 0u);
   EXPECT_EQ(f.clock_ms, 0.0);
 }
 
-TEST(SimTransportCostTest, DeadSendDefaultsMatchLegacyAccounting) {
+TEST(SimTransportCostTest, DeadSendDefaultsChargeOneRequest) {
   // The invariant that keeps every sim dump byte-identical: with the
   // default retries = 0 an unreachable peer costs exactly one request and
-  // no response — plus, new with the transport, a typed status and a
-  // timeout counter the accountant could never express.
+  // no response, plus a typed status and a timeout counter.
   CostFixture f;
   f.peer_up = false;
-  const Status sent =
+  const Charge sent =
       f.bus.CostSend(7, MessageType::kVersionCheck, 20, CallOptions{});
-  ASSERT_FALSE(sent.ok());
-  EXPECT_TRUE(sent.IsDeadlineExceeded());
-  EXPECT_EQ(sent.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(f.net.stats().MessagesOf(MessageType::kVersionCheck), 1u);
-  EXPECT_EQ(f.net.stats().BytesOf(MessageType::kVersionCheck),
+  ASSERT_FALSE(sent.status.ok());
+  EXPECT_TRUE(sent.status.IsDeadlineExceeded());
+  EXPECT_EQ(sent.status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(f.traffic().MessagesOf(MessageType::kVersionCheck), 1u);
+  EXPECT_EQ(f.traffic().BytesOf(MessageType::kVersionCheck),
             p2p::kMessageHeaderBytes + 20);
   EXPECT_EQ(f.bus.stats().TimeoutsOf(MessageType::kVersionCheck), 1u);
   EXPECT_EQ(f.bus.stats().RetriesOf(MessageType::kVersionCheck), 0u);
@@ -88,30 +81,49 @@ TEST(SimTransportCostTest, DeadSendRetriesChargeEveryAttempt) {
   CallOptions opts;
   opts.retries = 2;
   opts.backoff_ms = 200.0;
-  const Status sent =
-      f.bus.CostSend(7, MessageType::kVersionCheck, 20, opts);
-  ASSERT_TRUE(sent.IsDeadlineExceeded());
+  const Charge sent = f.bus.CostSend(7, MessageType::kVersionCheck, 20, opts);
+  ASSERT_TRUE(sent.status.IsDeadlineExceeded());
   // Three request legs hit the wire (1 + 2 retries), each fully charged.
-  EXPECT_EQ(f.net.stats().MessagesOf(MessageType::kVersionCheck), 3u);
-  EXPECT_EQ(f.net.stats().BytesOf(MessageType::kVersionCheck),
+  EXPECT_EQ(f.traffic().MessagesOf(MessageType::kVersionCheck), 3u);
+  EXPECT_EQ(f.traffic().BytesOf(MessageType::kVersionCheck),
             3 * (p2p::kMessageHeaderBytes + 20));
-  EXPECT_EQ(f.bus.stats().FramesOf(MessageType::kVersionCheck), 3u);
   EXPECT_EQ(f.bus.stats().RetriesOf(MessageType::kVersionCheck), 2u);
   EXPECT_EQ(f.bus.stats().TimeoutsOf(MessageType::kVersionCheck), 1u);
   // Exponential backoff advanced the simulated clock: 200 + 400 ms.
   EXPECT_EQ(f.clock_ms, 600.0);
 }
 
+TEST(SimTransportCostTest, ChargesReportWireBytesOfEveryAttempt) {
+  CostFixture f;
+  const Charge live =
+      f.bus.CostSend(7, MessageType::kReplicate, 30, CallOptions{});
+  EXPECT_TRUE(live.status.ok());
+  EXPECT_EQ(live.attempts, 1u);
+  EXPECT_EQ(live.wire_bytes, p2p::kMessageHeaderBytes + 30);
+
+  f.peer_up = false;
+  CallOptions opts;
+  opts.retries = 2;
+  const Charge dead = f.bus.BeginExchange(7, MessageType::kQueryRequest,
+                                          p2p::kTermBytes, opts);
+  EXPECT_TRUE(dead.status.IsDeadlineExceeded());
+  EXPECT_EQ(dead.attempts, 3u);
+  EXPECT_EQ(dead.wire_bytes, 3 * (p2p::kMessageHeaderBytes + p2p::kTermBytes));
+  // The report is exactly what the ledger booked.
+  EXPECT_EQ(f.traffic().TotalBytes(), live.wire_bytes + dead.wire_bytes);
+}
+
 TEST(SimTransportCostTest, ExchangeChargesBothLegs) {
   CostFixture f;
-  const Status sent =
+  const Charge sent =
       f.bus.BeginExchange(3, MessageType::kVersionCheck, 20, CallOptions{});
-  ASSERT_TRUE(sent.ok());
-  f.bus.CompleteExchange(MessageType::kVersionCheck, p2p::kVersionBytes);
-  EXPECT_EQ(f.net.stats().MessagesOf(MessageType::kVersionCheck), 2u);
-  EXPECT_EQ(f.net.stats().BytesOf(MessageType::kVersionCheck),
-            (p2p::kMessageHeaderBytes + 20) +
-                (p2p::kMessageHeaderBytes + p2p::kVersionBytes));
+  ASSERT_TRUE(sent.status.ok());
+  const uint64_t response =
+      f.bus.CompleteExchange(MessageType::kVersionCheck, p2p::kVersionBytes);
+  EXPECT_EQ(response, p2p::kMessageHeaderBytes + p2p::kVersionBytes);
+  EXPECT_EQ(f.traffic().MessagesOf(MessageType::kVersionCheck), 2u);
+  EXPECT_EQ(f.traffic().BytesOf(MessageType::kVersionCheck),
+            sent.wire_bytes + response);
 }
 
 // --- SimTransport: the frame-level bus --------------------------------------
@@ -136,9 +148,9 @@ TEST(SimTransportFrameTest, CallDeliversFramesAndCountsBothLegs) {
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(seen.type, MessageType::kHeartbeat);
   EXPECT_EQ(response->type, MessageType::kAdvisory);
-  EXPECT_EQ(bus.stats().FramesOf(MessageType::kHeartbeat), 1u);
-  EXPECT_EQ(bus.stats().FramesOf(MessageType::kAdvisory), 1u);
-  EXPECT_EQ(bus.stats().BytesOf(MessageType::kHeartbeat),
+  EXPECT_EQ(bus.stats().traffic().MessagesOf(MessageType::kHeartbeat), 1u);
+  EXPECT_EQ(bus.stats().traffic().MessagesOf(MessageType::kAdvisory), 1u);
+  EXPECT_EQ(bus.stats().traffic().BytesOf(MessageType::kHeartbeat),
             request.wire_size());
 }
 
@@ -158,7 +170,7 @@ TEST(SimTransportFrameTest, DownPeerSurfacesTypedTimeout) {
   StatusOr<wire::Frame> response = bus.Call(to, request, opts);
   ASSERT_FALSE(response.ok());
   EXPECT_TRUE(response.status().IsDeadlineExceeded());
-  EXPECT_EQ(bus.stats().FramesOf(MessageType::kHeartbeat), 2u);
+  EXPECT_EQ(bus.stats().traffic().MessagesOf(MessageType::kHeartbeat), 2u);
   EXPECT_EQ(bus.stats().RetriesOf(MessageType::kHeartbeat), 1u);
   EXPECT_EQ(bus.stats().TimeoutsOf(MessageType::kHeartbeat), 1u);
   // The partition heals: the same peer answers again.
@@ -174,7 +186,7 @@ TEST(SimTransportFrameTest, SendToUnregisteredPeerReportsLoss) {
   to.id = 99;
   const Status sent = bus.Send(to, wire::ToFrame(probe), CallOptions{});
   EXPECT_TRUE(sent.IsDeadlineExceeded());
-  EXPECT_EQ(bus.stats().FramesOf(MessageType::kHeartbeat), 1u);
+  EXPECT_EQ(bus.stats().traffic().MessagesOf(MessageType::kHeartbeat), 1u);
 }
 
 // --- ClusterNode: in-process three-node cluster -----------------------------
@@ -377,7 +389,7 @@ TEST_F(ClusterFixture, UnreachableMemberIsSkippedNotFatal) {
 TEST(TransportStatsTest, RttMirrorsIntoRegistryAndClearErases) {
   TransportStats stats;
   obs::MetricsRegistry reg;
-  stats.AttachMetrics(&reg, /*mirror_traffic=*/true);
+  stats.AttachMetrics(&reg);
   stats.ObserveRtt(MessageType::kQueryRequest, 120.0);
   stats.ObserveRtt(MessageType::kQueryRequest, 80.0);
   stats.ObserveRtt(MessageType::kQueryRequest, -1.0);  // ignored
@@ -395,15 +407,23 @@ TEST(TransportStatsTest, RttMirrorsIntoRegistryAndClearErases) {
   EXPECT_EQ(reg.histogram("transport.rtt_us", label), nullptr);
 }
 
-TEST(TransportStatsTest, SimBackendNeverMirrorsRttWallTime) {
-  // mirror_traffic=false is the sim backend's configuration: local RTT
-  // arrays may count, but no wall time leaks into the registry dumps.
-  TransportStats stats;
+TEST(TransportStatsTest, SimBusNeverObservesRttWallTime) {
+  // The sim bus books frames into its ledger but observes no round-trip
+  // time, so no wall time leaks into the registry dumps.
+  SimTransport bus;
   obs::MetricsRegistry reg;
-  stats.AttachMetrics(&reg, /*mirror_traffic=*/false);
-  stats.ObserveRtt(MessageType::kQueryRequest, 10.0);
-  EXPECT_EQ(stats.RttCountOf(MessageType::kQueryRequest), 1u);
+  bus.mutable_stats().AttachMetrics(&reg);
+  bus.Register(5, [](const wire::Frame& f) -> StatusOr<wire::Frame> {
+    return f;  // echo
+  });
+  wire::Heartbeat probe;
+  probe.term = "abcdefghij";
+  PeerAddress to;
+  to.id = 5;
+  ASSERT_TRUE(bus.Call(to, wire::ToFrame(probe), CallOptions{}).ok());
+  EXPECT_EQ(bus.stats().RttCountOf(MessageType::kHeartbeat), 0u);
   EXPECT_EQ(reg.num_histograms(), 0u);
+  EXPECT_EQ(reg.counter("net.messages", "Heartbeat"), 2u);
 }
 
 // --- Trace propagation: the sim bus stays byte-clean ------------------------

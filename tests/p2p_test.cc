@@ -1,8 +1,9 @@
-// Unit tests for the P2P traffic accounting layer, plus the
-// unreachable-peer regression of ISSUE 8: a probe to a departed peer must
-// surface a *typed* DeadlineExceeded through the transport seam, honor the
-// SpriteConfig retry/backoff knobs, and keep the default (retries = 0)
-// accounting byte-identical to what the accountant always charged.
+// Unit tests for the P2P traffic accounting: message names, the
+// per-type NetworkStats table and the sim bus that books it, plus the
+// unreachable-peer regression: a probe to a departed peer must surface a
+// *typed* DeadlineExceeded through the transport seam, honor the
+// SpriteConfig retry/backoff knobs, and with the default (retries = 0)
+// charge exactly one request and no response.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,8 @@
 #include "core/sprite_system.h"
 #include "corpus/corpus.h"
 #include "corpus/query.h"
+#include "net/sim_transport.h"
+#include "obs/metrics.h"
 #include "p2p/message.h"
 #include "p2p/network.h"
 #include "text/term_vector.h"
@@ -29,45 +32,59 @@ TEST(NetworkStatsTest, StartsEmpty) {
   EXPECT_EQ(stats.TotalBytes(), 0u);
 }
 
-TEST(NetworkAccountantTest, CountAddsHeaderBytes) {
-  NetworkAccountant net;
-  net.Count(MessageType::kPublishTerm, 100);
-  EXPECT_EQ(net.stats().MessagesOf(MessageType::kPublishTerm), 1u);
-  EXPECT_EQ(net.stats().BytesOf(MessageType::kPublishTerm),
+// --- The traffic ledger: the sim bus's TransportStats ----------------------
+
+TEST(TrafficLedgerTest, SendAddsHeaderBytes) {
+  net::SimTransport bus;
+  bus.CostSend(7, MessageType::kPublishTerm, 100, net::CallOptions{});
+  EXPECT_EQ(bus.stats().traffic().MessagesOf(MessageType::kPublishTerm), 1u);
+  EXPECT_EQ(bus.stats().traffic().BytesOf(MessageType::kPublishTerm),
             kMessageHeaderBytes + 100);
 }
 
-TEST(NetworkAccountantTest, LookupHopsCountPerHop) {
-  NetworkAccountant net;
-  net.CountLookupHops(3);
-  net.CountLookupHops(0);   // no-op
-  net.CountLookupHops(-1);  // no-op
-  EXPECT_EQ(net.stats().MessagesOf(MessageType::kLookupHop), 3u);
-  EXPECT_EQ(net.stats().BytesOf(MessageType::kLookupHop),
+TEST(TrafficLedgerTest, LookupHopsCountPerHop) {
+  net::SimTransport bus;
+  obs::MetricsRegistry registry;
+  bus.mutable_stats().AttachMetrics(&registry);
+  bus.ChargeLookupHops(3);
+  bus.ChargeLookupHops(0);   // no-op
+  bus.ChargeLookupHops(-1);  // no-op
+  EXPECT_EQ(bus.stats().traffic().MessagesOf(MessageType::kLookupHop), 3u);
+  EXPECT_EQ(bus.stats().traffic().BytesOf(MessageType::kLookupHop),
             3 * kLookupHopBytes);
+  EXPECT_EQ(registry.counter("net.messages", "LookupHop"), 3u);
+  EXPECT_EQ(registry.counter("net.bytes", "LookupHop"), 3 * kLookupHopBytes);
 }
 
-TEST(NetworkAccountantTest, TotalsAggregateAcrossTypes) {
-  NetworkAccountant net;
-  net.Count(MessageType::kQueryRequest, 10);
-  net.Count(MessageType::kQueryResponse, 20);
-  net.CountLookupHops(2);
-  EXPECT_EQ(net.stats().TotalMessages(), 4u);
-  EXPECT_EQ(net.stats().TotalBytes(),
+TEST(TrafficLedgerTest, TotalsAggregateAcrossTypes) {
+  net::SimTransport bus;
+  bus.BeginExchange(7, MessageType::kQueryRequest, 10, net::CallOptions{});
+  bus.CompleteExchange(MessageType::kQueryResponse, 20);
+  bus.ChargeLookupHops(2);
+  EXPECT_EQ(bus.stats().traffic().TotalMessages(), 4u);
+  EXPECT_EQ(bus.stats().traffic().TotalBytes(),
             2 * kMessageHeaderBytes + 30 + 2 * kLookupHopBytes);
 }
 
-TEST(NetworkAccountantTest, ClearResets) {
-  NetworkAccountant net;
-  net.Count(MessageType::kReplicate, 5);
-  net.Clear();
-  EXPECT_EQ(net.stats().TotalMessages(), 0u);
+TEST(TrafficLedgerTest, ClearResetsTableAndMirroredCounters) {
+  net::SimTransport bus;
+  obs::MetricsRegistry registry;
+  bus.mutable_stats().AttachMetrics(&registry);
+  bus.CostSend(7, MessageType::kReplicate, 5, net::CallOptions{});
+  ASSERT_EQ(registry.counter("net.messages", "Replicate"), 1u);
+  bus.mutable_stats().Clear();
+  EXPECT_EQ(bus.stats().traffic().TotalMessages(), 0u);
+  EXPECT_EQ(bus.stats().traffic().TotalBytes(), 0u);
+  for (const obs::CounterSample& c : registry.Snapshot().counters) {
+    EXPECT_NE(c.id.name, "net.messages") << c.id.label;
+    EXPECT_NE(c.id.name, "net.bytes") << c.id.label;
+  }
 }
 
-TEST(NetworkStatsTest, ToStringListsNonZeroRowsAndTotal) {
-  NetworkAccountant net;
-  net.Count(MessageType::kHeartbeat, 1);
-  const std::string table = net.stats().ToString();
+TEST(TrafficLedgerTest, ToStringListsNonZeroRowsAndTotal) {
+  net::SimTransport bus;
+  bus.CostSend(7, MessageType::kHeartbeat, 1, net::CallOptions{});
+  const std::string table = bus.stats().traffic().ToString();
   EXPECT_NE(table.find("Heartbeat"), std::string::npos);
   EXPECT_NE(table.find("TOTAL"), std::string::npos);
   EXPECT_EQ(table.find("Replicate"), std::string::npos);  // zero row hidden
@@ -133,9 +150,9 @@ TEST(UnreachablePeerTest, DefaultsKeepLegacyAccountingAndSurfaceTimeouts) {
   const DeadPeerRun run = RunDeadPeerScenario(/*send_retries=*/0);
   // The dead probes are visible as typed transport timeouts...
   EXPECT_GT(run.timeouts, 0u);
-  // ...and with the default send_retries = 0 nothing is retried, so the
-  // accountant's view stays exactly one request (and no response) per dead
-  // probe — the charge the simulation has always used.
+  // ...and with the default send_retries = 0 nothing is retried, so each
+  // dead probe costs exactly one request and no response — the charge the
+  // simulation has always used.
   EXPECT_EQ(run.retries, 0u);
 }
 
