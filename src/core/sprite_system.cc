@@ -1,6 +1,7 @@
 #include "core/sprite_system.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -398,15 +399,24 @@ Status SpriteSystem::CommitShare(const SharePlan& plan) {
   return Status::OK();
 }
 
+namespace {
+
+// The query's deduplicated terms, interned, in query order.
+std::vector<TermId> InternQueryTerms(const corpus::Query& query) {
+  TermDict& dict = TermDict::Global();
+  const std::vector<std::string> deduped = corpus::DedupTerms(query.terms);
+  std::vector<TermId> ids;
+  ids.reserve(deduped.size());
+  for (const std::string& term : deduped) ids.push_back(dict.Intern(term));
+  return ids;
+}
+
+}  // namespace
+
 QueryRecord SpriteSystem::MakeQueryRecord(const corpus::Query& query) {
   QueryRecord record;
   record.id = query.id;
-  TermDict& dict = TermDict::Global();
-  const std::vector<std::string> deduped = corpus::DedupTerms(query.terms);
-  record.terms.reserve(deduped.size());
-  for (const std::string& term : deduped) {
-    record.terms.push_back(dict.Intern(term));
-  }
+  record.terms = InternQueryTerms(query);
   record.hash_key = ring_.space().KeyForString(query.CanonicalKey());
   record.seq = ++seq_counter_;
   return record;
@@ -469,89 +479,6 @@ void SpriteSystem::CommitRecord(const RecordPlan& plan) {
   }
 }
 
-bool SpriteSystem::ValidateCachedSources(
-    const std::vector<std::pair<TermId, cache::TermSource>>& sources,
-    const std::optional<QueryRecord>& rec,
-    std::unordered_set<PeerId>& recorded_at, uint64_t& requests,
-    uint64_t& bytes) {
-  // Group the cached terms by source peer: one round trip verifies all of
-  // a peer's terms at once.
-  std::map<PeerId, std::vector<const std::pair<TermId, cache::TermSource>*>>
-      by_peer;
-  for (const auto& source : sources) {
-    by_peer[source.second.peer].push_back(&source);
-  }
-  bool all_current = true;
-  for (const auto& [peer_id, items] : by_peer) {
-    obs::ScopedSpan span(&tracer_, "cache.validate", PeerNameOf(peer_id));
-    span.Annotate("terms", StrFormat("%zu", items.size()));
-    // The entry cached the source's address, so the probe is a direct
-    // exchange over the transport — no Chord routing. A departed peer
-    // surfaces DeadlineExceeded after the configured retries; every
-    // attempt's request leg is charged (with the default send_retries = 0
-    // that is exactly one request and no response, the accounting this
-    // path has always used).
-    const size_t request_payload =
-        items.size() * (p2p::kTermBytes + p2p::kVersionBytes) +
-        (rec.has_value() ? p2p::kQueryRecordBytes : 0);
-    const net::Charge sent =
-        bus_.BeginExchange(peer_id, p2p::MessageType::kVersionCheck,
-                           request_payload, DirectCallOptions());
-    const bool alive = sent.status.ok();
-    requests += sent.attempts;
-    uint64_t exchange_bytes = sent.wire_bytes;
-    bool current = alive;
-    if (alive) {
-      query_load_[peer_id] += 1;
-      metrics_.Add("peer.queries_served",
-                   StrFormat("peer-%llu",
-                             static_cast<unsigned long long>(peer_id)),
-                   1);
-      if (rec.has_value() && recorded_at.insert(peer_id).second) {
-        indexing_.at(peer_id).RecordQuery(*rec);
-      }
-      for (const auto* item : items) {
-        const StatusOr<uint64_t> responsible =
-            ring_.ResponsibleNode(RingKeyOf(item->first));
-        if (!responsible.ok() || responsible.value() != peer_id ||
-            indexing_.at(peer_id).TermVersion(item->first) !=
-                item->second.version) {
-          current = false;
-          break;
-        }
-      }
-      // The verdict response; a dead peer's probe just times out after
-      // the request round trip(s).
-      exchange_bytes += bus_.CompleteExchange(p2p::MessageType::kVersionCheck,
-                                              p2p::kVersionBytes);
-    }
-    bytes += exchange_bytes;
-    tracer_.clock().AdvanceMs(latency_.RequestMs(1) +
-                              latency_.TransferMs(exchange_bytes));
-    span.Annotate("outcome",
-                  !alive ? "dead" : current ? "current" : "stale");
-    if (!current) all_current = false;
-  }
-  return all_current;
-}
-
-bool SpriteSystem::CachedSourcesStale(
-    const std::vector<std::pair<TermId, cache::TermSource>>& sources) const {
-  for (const auto& [term, source] : sources) {
-    const dht::ChordNode* node = ring_.node(source.peer);
-    if (node == nullptr || !node->alive) return true;
-    const StatusOr<uint64_t> responsible =
-        ring_.ResponsibleNode(RingKeyOf(term));
-    if (!responsible.ok() || responsible.value() != source.peer) return true;
-    auto it = indexing_.find(source.peer);
-    if (it == indexing_.end() ||
-        it->second.TermVersion(term) != source.version) {
-      return true;
-    }
-  }
-  return false;
-}
-
 StatusOr<ir::RankedList> SpriteSystem::Search(const corpus::Query& query,
                                               size_t k, bool record) {
   if (query.empty()) return Status::InvalidArgument("empty query");
@@ -578,464 +505,449 @@ void SpriteSystem::SearchPrologue(const corpus::Query& query, bool record,
   // lookups or messages. Standalone RecordQuery() stays available for
   // seeding history without executing the query.
   if (record) plan.rec = MakeQueryRecord(query);
-  TermDict& dict = TermDict::Global();
-  const std::vector<std::string> deduped = corpus::DedupTerms(query.terms);
-  plan.terms.reserve(deduped.size());
-  for (const std::string& term : deduped) {
-    plan.terms.push_back(dict.Intern(term));
+  plan.terms = record ? plan.rec->terms : InternQueryTerms(query);
+}
+
+// One search as its stages record it (DESIGN.md §12): the cache, route/
+// fetch and rank stages fill it; FinishSearch derives metrics, span summary,
+// result-cache entry and explain record from it, whichever path was taken.
+struct SpriteSystem::SearchRecord {
+  // How a term's list was obtained.
+  enum class Via : uint8_t {
+    kFetched,       // routed to and fetched from its indexing peer
+    kPostingCache,  // the querying peer's posting tier
+    kHotExtra,      // rode in another term's response (hot-term cache)
+    kResultCache,   // a source of the served result-cache entry (no list)
+    kSkipped,       // unreachable, skipped by policy (no list)
+  };
+  struct Term {
+    TermId term = kInvalidTermId;
+    PeerId peer = 0;       // the serving peer; 0 when skipped
+    uint32_t df = 0;       // postings obtained: n'_k
+    uint64_t version = 0;  // the serving peer's term version, when known
+    Via via = Via::kFetched;
+    double idf = 0.0;      // written by the rank stage, for the explain
+  };
+
+  // The entry of `term` that carries a list, if any.
+  Term* Listed(TermId term) {
+    for (Term& t : terms) {
+      if (t.term == term && t.via != Via::kSkipped) return &t;
+    }
+    return nullptr;
   }
+  void AddList(TermId term, PeerId peer, uint64_t version, Via via,
+               PostingListPtr list) {
+    const size_t df = list->size();
+    terms.push_back({term, peer, static_cast<uint32_t>(df), version, via});
+    postings += df;
+    lists.push_back({term, std::move(list)});
+  }
+  // Charges one direct exchange to the fetch phase. The simulated clock
+  // moves by its round trips and transfer here; the bus already advanced
+  // it by the retry backoff.
+  void AddCost(const net::Charge& c, const obs::LatencyModel& latency,
+               obs::SimClock& clock) {
+    requests += c.attempts;
+    wire_bytes += c.wire_bytes;
+    backoff_ms += c.backoff_ms;
+    clock.AdvanceMs(latency.OperationMs(0, c.attempts, c.wire_bytes));
+  }
+  size_t Count(Via via) const {
+    size_t n = 0;
+    for (const Term& t : terms) n += t.via == via;
+    return n;
+  }
+
+  std::vector<Term> terms;           // in visit order
+  std::vector<RetrievedList> lists;  // what the rank stage ranks
+  std::unordered_set<PeerId> recorded_at;  // took the piggybacked record
+  cache::ResultKey result_key;             // set when the result tier is on
+  bool result_cache_hit = false;
+  uint64_t route_hops = 0;
+  // Fetch-phase cost: every direct exchange's net::Charge, summed.
+  uint64_t requests = 0;
+  uint64_t wire_bytes = 0;
+  double backoff_ms = 0.0;
+  size_t postings = 0;
+  ir::RankedList results;
+  uint64_t route_wall_ns = 0;  // perf.search.route
+  uint64_t fetch_wall_ns = 0;  // perf.search.fetch
+  // Explain only: the accumulators and per-doc (term, w_Qj*w_ij) pairs.
+  RankAccumMap acc;
+  std::unordered_map<DocId, std::vector<std::pair<std::string, double>>>
+      contribs;
+};
+
+void SpriteSystem::NoteServed(PeerId peer, const SearchPlan& plan,
+                              SearchRecord& record) {
+  query_load_[peer] += 1;
+  metrics_.Add("peer.queries_served",
+               StrFormat("peer-%llu", static_cast<unsigned long long>(peer)),
+               1);
+  if (plan.rec.has_value() && record.recorded_at.insert(peer).second) {
+    indexing_.at(peer).RecordQuery(*plan.rec);
+  }
+}
+
+template <typename Sources>
+bool SpriteSystem::ConsultCache(cache::CacheTier tier, TermId posting_term,
+                                const Sources* sources, const SearchPlan& plan,
+                                SearchRecord& record) {
+  // The lookup itself takes no simulated time, so its span opens here.
+  obs::ScopedSpan lookup_span(&tracer_, "cache.lookup",
+                              PeerNameOf(plan.querying_peer));
+  const bool result_tier = tier == cache::CacheTier::kResult;
+  lookup_span.Annotate("tier", result_tier ? "result" : "posting");
+  if (!result_tier) {
+    lookup_span.Annotate("term", TermDict::Global().TermOf(posting_term));
+  }
+  if (sources == nullptr) {
+    lookup_span.Annotate("outcome", "miss");
+    return false;
+  }
+  // The one staleness predicate: the cached peer is still the term's
+  // responsible (so alive) node and holds it at the cached version.
+  const auto current = [this](const auto& entry) {
+    const auto& [term, source] = entry;
+    const StatusOr<uint64_t> responsible =
+        ring_.ResponsibleNode(RingKeyOf(term));
+    if (!responsible.ok() || responsible.value() != source.peer) return false;
+    auto it = indexing_.find(source.peer);
+    return it != indexing_.end() &&
+           it->second.TermVersion(term) == source.version;
+  };
+  if (!cache_.validate()) {
+    // Blind serving is free but may serve stale data, which stale_serves
+    // measures instead of hiding.
+    if (!std::all_of(sources->begin(), sources->end(), current)) {
+      cache_.NoteStaleServe(tier);
+    }
+    lookup_span.Annotate("outcome", "hit");
+    return true;
+  }
+  // The version-check protocol: one direct kVersionCheck round trip per
+  // source peer, in ascending id order, verifies all of that peer's terms.
+  cache_.NoteValidation(tier);
+  std::vector<PeerId> peers;
+  for (const auto& source : *sources) peers.push_back(source.second.peer);
+  std::sort(peers.begin(), peers.end());
+  peers.erase(std::unique(peers.begin(), peers.end()), peers.end());
+  bool all_current = true;
+  for (const PeerId peer_id : peers) {
+    size_t num_terms = 0;
+    bool peer_current = true;
+    for (const auto& entry : *sources) {
+      if (entry.second.peer != peer_id) continue;
+      ++num_terms;
+      peer_current = peer_current && current(entry);
+    }
+    obs::ScopedSpan span(&tracer_, "cache.validate", PeerNameOf(peer_id));
+    span.Annotate("terms", StrFormat("%zu", num_terms));
+    // A direct exchange to the cached address (no Chord routing). A
+    // departed peer times out after the configured retries, every attempt
+    // and backoff wait charged; with send_retries = 0, one request leg.
+    net::Charge exchange = bus_.BeginExchange(
+        peer_id, p2p::MessageType::kVersionCheck,
+        num_terms * (p2p::kTermBytes + p2p::kVersionBytes) +
+            (plan.rec.has_value() ? p2p::kQueryRecordBytes : 0),
+        DirectCallOptions());
+    const bool alive = exchange.status.ok();
+    if (alive) {
+      NoteServed(peer_id, plan, record);
+      exchange.wire_bytes += bus_.CompleteExchange(  // the verdict
+          p2p::MessageType::kVersionCheck, p2p::kVersionBytes);
+    }
+    record.AddCost(exchange, latency_, tracer_.clock());
+    peer_current = alive && peer_current;
+    span.Annotate("outcome",
+                  !alive ? "dead" : peer_current ? "current" : "stale");
+    all_current = all_current && peer_current;
+  }
+  if (!all_current) cache_.NoteStaleReject(tier);
+  lookup_span.Annotate("outcome", all_current ? "hit" : "stale");
+  return all_current;
 }
 
 StatusOr<ir::RankedList> SpriteSystem::CommitSearch(const corpus::Query& query,
                                                     size_t k,
                                                     const SearchPlan& plan) {
-  // Route/fetch wall time is accumulated across the term loop and recorded
-  // on the full path.
-  const bool wall_on = wall_.enabled();
-  uint64_t route_wall_ns = plan.plan_wall_ns;
-  uint64_t fetch_wall_ns = 0;
-  const uint64_t issuance = plan.issuance;
-  const std::optional<QueryRecord>& rec = plan.rec;
-  std::unordered_set<PeerId> recorded_at;
-
-  TermDict& dict = TermDict::Global();
-  const std::vector<TermId>& terms = plan.terms;
-  // Explain ledger (enable_explain): per-term provenance and per-candidate
-  // score contributions, collected only when the recorder is on so the hot
-  // path stays untouched otherwise.
-  const bool explain_on = explain_.enabled();
-  std::vector<obs::TermExplain> term_explains;
-  std::unordered_map<TermId, size_t> term_explain_idx;
-  std::string query_spelling;
-  if (explain_on) {
-    term_explains.reserve(terms.size());
-    for (const TermId term : terms) {
-      if (!query_spelling.empty()) query_spelling += ' ';
-      query_spelling += dict.TermOf(term);
-    }
-  }
-
-  const PeerId querying_peer = plan.querying_peer;
-
-  // The root span of the whole operation: its route/fetch/rank children
-  // advance the simulated clock by exactly the per-phase latency-model
-  // costs, so the tree's summed durations reproduce the
-  // latency.search.*_ms observations below.
-  obs::ScopedSpan search_span(&tracer_, "search", PeerNameOf(querying_peer));
+  // Its children advance the simulated clock by exactly the costs
+  // FinishSearch sums, so the tree lasts the total_ms it reports.
+  obs::ScopedSpan search_span(&tracer_, "search",
+                              PeerNameOf(plan.querying_peer));
   search_span.Annotate("query", StrFormat("%u", query.id));
-  search_span.Annotate("terms", StrFormat("%zu", terms.size()));
-
-  // --- Query-result cache fast path (src/cache) -------------------------
-  // A validated hit answers the query for the cost of the version probes;
-  // a blind (cache_validate=false) hit is free but may serve stale
-  // results, which the stale_serves counter measures against the live
-  // index instead of hiding.
-  cache::ResultKey result_key;
-  if (cache_.result_enabled()) {
-    result_key = cache::MakeResultKey(terms, k);
-    obs::ScopedSpan cache_span(&tracer_, "cache.lookup",
-                               PeerNameOf(querying_peer));
-    cache_span.Annotate("tier", "result");
-    const cache::CachedResult* hit = cache_.LookupResult(
-        querying_peer, result_key, tracer_.clock().now_ms());
-    bool serve = false;
-    const char* outcome = "miss";
-    uint64_t check_requests = 0;
-    uint64_t check_bytes = 0;
-    if (hit != nullptr && cache_.validate()) {
-      const std::vector<std::pair<TermId, cache::TermSource>> sources(
-          hit->sources.begin(), hit->sources.end());
-      cache_.NoteValidation(cache::CacheTier::kResult);
-      if (ValidateCachedSources(sources, rec, recorded_at, check_requests,
-                                check_bytes)) {
-        serve = true;
-        outcome = "hit";
-      } else {
-        outcome = "stale";
-        cache_.NoteStaleReject(cache::CacheTier::kResult);
-        cache_.InvalidateResult(querying_peer, result_key);
-        hit = nullptr;  // dangling after the erase; refetch below
-      }
-    } else if (hit != nullptr) {
-      serve = true;
-      outcome = "hit";
-      if (CachedSourcesStale({hit->sources.begin(), hit->sources.end()})) {
-        cache_.NoteStaleServe(cache::CacheTier::kResult);
-      }
-    }
-    cache_span.Annotate("outcome", outcome);
-    if (serve) {
-      // The hit's only cost is the validation exchanges, which belong to
-      // the fetch phase; routing and ranking are skipped entirely.
-      const double check_ms = latency_.RequestMs(check_requests) +
-                              latency_.TransferMs(check_bytes);
-      metrics_.Add("search.queries");
-      metrics_.Observe("search.route_hops", 0.0);
-      metrics_.Observe("search.postings_fetched", 0.0);
-      metrics_.Observe("search.results",
-                       static_cast<double>(hit->results.size()));
-      metrics_.Observe("latency.search.route_ms", 0.0);
-      metrics_.Observe("latency.search.fetch_ms", check_ms);
-      metrics_.Observe("latency.search.rank_ms", 0.0);
-      metrics_.Observe("latency.search.total_ms", check_ms);
-      search_span.Annotate("cache", "hit");
-      search_span.Annotate("results", StrFormat("%zu", hit->results.size()));
-      search_span.Annotate("total_ms", StrFormat("%.3f", check_ms));
-      if (explain_on) {
-        obs::SearchExplain se;
-        se.issuance = issuance;
-        se.query = query_spelling;
-        se.k = k;
-        se.served_from_result_cache = true;
-        for (const auto& [term, source] : hit->sources) {
-          obs::TermExplain te;
-          te.term = dict.TermOf(term);
-          te.peer = source.peer;
-          te.from_cache = true;
-          se.terms.push_back(std::move(te));
-        }
-        for (const auto& r : hit->results) {
-          obs::CandidateExplain ce;
-          ce.doc = r.doc;
-          ce.score = r.score;
-          se.candidates.push_back(std::move(ce));
-        }
-        explain_.RecordSearch(std::move(se));
-      }
-      return hit->results;
-    }
+  search_span.Annotate("terms", StrFormat("%zu", plan.terms.size()));
+  SearchRecord record;
+  if (!ServeFromResultCache(plan, k, record)) {
+    SPRITE_RETURN_IF_ERROR(RouteAndFetch(plan, record));
+    RankSearch(plan, k, record);
   }
+  FinishSearch(plan, k, record, search_span);
+  return std::move(record.results);
+}
 
-  // Searching phase: visit each term's indexing peer and pull the inverted
-  // list plus metadata. With hot-term caching on, a contacted peer also
-  // serves cached lists for the query's other terms, saving their lookups
-  // (Section 7: "the peer responsible for the hot term will not be
-  // contacted").
-  std::vector<RetrievedList> lists;
-  lists.reserve(terms.size());
-  std::unordered_set<TermId> resolved;
-  // With caching enabled, different queriers start from different term
-  // positions; first contact — and with it the serving load of cached hot
-  // pairs — then spreads across the terms' peers instead of always landing
-  // on the first (typically hottest) term's peer.
-  const size_t start = plan.start;
-  uint64_t route_hops = 0;
-  uint64_t fetch_requests = 0;
-  uint64_t fetch_bytes = 0;
-  size_t fetched_postings = 0;
-  size_t skipped_terms = 0;
-  // Provenance of each term's list, collected for the result-cache entry.
-  // A result is only cacheable when every term has a known source (no
-  // skipped terms, no hot-term-cache extras of unknown version).
-  std::map<TermId, cache::TermSource> sources_used;
-  for (size_t ti = 0; ti < terms.size(); ++ti) {
-    const size_t term_idx = (start + ti) % terms.size();
-    const TermId term = terms[term_idx];
-    if (resolved.count(term) > 0) continue;
+bool SpriteSystem::ServeFromResultCache(const SearchPlan& plan, size_t k,
+                                        SearchRecord& record) {
+  if (!cache_.result_enabled()) return false;
+  record.result_key = cache::MakeResultKey(plan.terms, k);
+  const cache::CachedResult* hit = cache_.LookupResult(
+      plan.querying_peer, record.result_key, tracer_.clock().now_ms());
+  if (!ConsultCache(cache::CacheTier::kResult, kInvalidTermId,
+                    hit != nullptr ? &hit->sources : nullptr, plan, record)) {
+    if (hit) cache_.InvalidateResult(plan.querying_peer, record.result_key);
+    return false;
+  }
+  // A hit answers the query for the cost of its validation exchanges: no
+  // routing, no postings, no ranking.
+  record.result_cache_hit = true;
+  record.results = hit->results;
+  for (const auto& [term, source] : hit->sources) {
+    record.terms.push_back({term, source.peer, 0, source.version,
+                            SearchRecord::Via::kResultCache});
+  }
+  return true;
+}
 
-    // --- Posting-cache path (src/cache): skip the DHT fetch ------------
-    if (cache_.posting_enabled()) {
-      obs::ScopedSpan cache_span(&tracer_, "cache.lookup",
-                                 PeerNameOf(querying_peer));
-      cache_span.Annotate("tier", "posting");
-      cache_span.Annotate("term", dict.TermOf(term));
-      const cache::CachedPostings* hit = cache_.LookupPostings(
-          querying_peer, term, tracer_.clock().now_ms());
-      bool serve = false;
-      const char* outcome = "miss";
-      if (hit != nullptr && cache_.validate()) {
-        cache_.NoteValidation(cache::CacheTier::kPosting);
-        if (ValidateCachedSources({{term, hit->source}}, rec, recorded_at,
-                                  fetch_requests, fetch_bytes)) {
-          serve = true;
-          outcome = "hit";
-        } else {
-          outcome = "stale";
-          cache_.NoteStaleReject(cache::CacheTier::kPosting);
-          cache_.InvalidatePostings(querying_peer, term);
-          hit = nullptr;  // dangling after the erase; fetch below
-        }
-      } else if (hit != nullptr) {
-        serve = true;
-        outcome = "hit";
-        if (CachedSourcesStale({{term, hit->source}})) {
-          cache_.NoteStaleServe(cache::CacheTier::kPosting);
-        }
-      }
-      cache_span.Annotate("outcome", outcome);
-      if (serve) {
-        RetrievedList rl;
-        rl.term = term;
-        // The memoized decode: repeated hits share one snapshot.
-        rl.postings = hit->postings->Snapshot();
-        fetched_postings += rl.postings->size();
-        sources_used.emplace(term, hit->source);
-        resolved.insert(term);
-        if (explain_on) {
-          obs::TermExplain te;
-          te.term = dict.TermOf(term);
-          te.peer = hit->source.peer;
-          te.indexed_df = static_cast<uint32_t>(rl.postings->size());
-          te.from_cache = true;
-          term_explain_idx[term] = term_explains.size();
-          term_explains.push_back(std::move(te));
-        }
-        lists.push_back(std::move(rl));
-        continue;
-      }
-    }
+bool SpriteSystem::ServeFromPostingCache(TermId term, const SearchPlan& plan,
+                                         SearchRecord& record) {
+  if (!cache_.posting_enabled()) return false;
+  const cache::CachedPostings* hit = cache_.LookupPostings(
+      plan.querying_peer, term, tracer_.clock().now_ms());
+  const std::array<std::pair<TermId, cache::TermSource>, 1> sources = {
+      {{term, hit != nullptr ? hit->source : cache::TermSource{}}}};
+  if (!ConsultCache(cache::CacheTier::kPosting, term,
+                    hit != nullptr ? &sources : nullptr, plan, record)) {
+    if (hit) cache_.InvalidatePostings(plan.querying_peer, term);
+    return false;
+  }
+  // The memoized decode: repeated hits share one snapshot.
+  record.AddList(term, hit->source.peer, hit->source.version,
+                 SearchRecord::Via::kPostingCache, hit->postings->Snapshot());
+  return true;
+}
+
+Status SpriteSystem::RouteAndFetch(const SearchPlan& plan,
+                                   SearchRecord& record) {
+  using Via = SearchRecord::Via;
+  const TermDict& dict = TermDict::Global();
+  const bool wall_on = wall_.enabled();
+  record.route_wall_ns = plan.plan_wall_ns;
+  const size_t num_terms = plan.terms.size();
+  record.terms.reserve(num_terms);
+  record.lists.reserve(num_terms);
+  for (size_t i = 0; i < num_terms; ++i) {
+    // PlanSearch's contact rotation picks the first term visited.
+    const size_t t = (plan.start + i) % num_terms;
+    const TermId term = plan.terms[t];
+    if (record.Listed(term) != nullptr) continue;  // a hot-term extra
+    if (ServeFromPostingCache(term, plan, record)) continue;
 
     const uint64_t route_start_ns = wall_on ? obs::MonotonicNowNs() : 0;
-    obs::ScopedSpan route_span(&tracer_, "route", PeerNameOf(querying_peer));
+    obs::ScopedSpan route_span(&tracer_, "route",
+                               PeerNameOf(plan.querying_peer));
     route_span.Annotate("term", dict.TermOf(term));
     // Committing the planned route replays the lookup's effect stream
     // (ring stats, chord.* metrics, hop traces).
     StatusOr<dht::ChordRing::LookupResult> route =
-        ring_.CommitLookup(plan.routes[term_idx]);
+        ring_.CommitLookup(plan.routes[t]);
     if (route.ok()) bus_.ChargeLookupHops(route->hops);
     route_span.End();
-    if (wall_on) route_wall_ns += obs::MonotonicNowNs() - route_start_ns;
+    if (wall_on) {
+      record.route_wall_ns += obs::MonotonicNowNs() - route_start_ns;
+    }
     if (!route.ok()) {
-      ++skipped_terms;
-      if (explain_on) {
-        obs::TermExplain te;
-        te.term = dict.TermOf(term);
-        te.skipped = true;
-        term_explain_idx[term] = term_explains.size();
-        term_explains.push_back(std::move(te));
-      }
+      record.terms.push_back({term, 0, 0, 0, Via::kSkipped});
       if (config_.skip_unreachable_terms) continue;  // Section 7, scheme 1
       return route.status();
     }
-    route_hops += static_cast<uint64_t>(route->hops);
+    record.route_hops += static_cast<uint64_t>(route->hops);
+
+    // One fetch span per exchange, attributed to the serving peer.
     const PeerId target = route->node;
     const uint64_t fetch_start_ns = wall_on ? obs::MonotonicNowNs() : 0;
-    // One fetch span per query term, attributed to the indexing peer that
-    // serves the exchange (hot-term-cache extras ride in its response).
     obs::ScopedSpan fetch_span(&tracer_, "fetch", PeerNameOf(target));
-    const uint64_t fetch_bytes_before = fetch_bytes;
-    const size_t postings_before = fetched_postings;
-    const size_t request_payload =
-        p2p::kTermBytes + (rec.has_value() ? p2p::kQueryRecordBytes : 0);
-    fetch_bytes += bus_.BeginExchange(target, p2p::MessageType::kQueryRequest,
-                                      request_payload, DirectCallOptions())
-                       .wire_bytes;
-    ++fetch_requests;
-    query_load_[target] += 1;
-    metrics_.Add("peer.queries_served",
-                 StrFormat("peer-%llu",
-                           static_cast<unsigned long long>(target)),
-                 1);
+    const size_t postings_before = record.postings;
+    net::Charge exchange = bus_.BeginExchange(
+        target, p2p::MessageType::kQueryRequest,
+        p2p::kTermBytes + (plan.rec.has_value() ? p2p::kQueryRecordBytes : 0),
+        DirectCallOptions());
+    NoteServed(target, plan, record);
     IndexingPeer& peer = indexing_.at(target);
-    if (rec.has_value() && recorded_at.insert(target).second) {
-      peer.RecordQuery(*rec);
-    }
-    RetrievedList rl;
-    rl.term = term;
-    // Zero-copy fetch: share the peer's immutable decoded snapshot instead
-    // of copying the vector; the response bytes are accounted as if the
-    // full list had crossed the (simulated) wire. The stored (compressed)
-    // handle is kept alongside for the posting cache, which holds encoded
-    // blocks rather than decoded entries.
+    // Zero-copy fetch: the peer's immutable decoded snapshot is shared and
+    // charged as if the full list crossed the wire. The posting cache keeps
+    // the stored (compressed) handle instead.
     StoredPostingsPtr stored = peer.Stored(term);
     PostingListPtr plist = stored != nullptr ? stored->Snapshot() : nullptr;
-    rl.postings = plist != nullptr ? std::move(plist) : EmptyPostingList();
-    fetch_bytes +=
+    if (plist == nullptr) plist = EmptyPostingList();
+    exchange.wire_bytes +=
         bus_.CompleteExchange(p2p::MessageType::kQueryResponse,
-                              rl.postings->size() * p2p::kPostingEntryBytes);
-    fetched_postings += rl.postings->size();
-    resolved.insert(term);
+                              plist->size() * p2p::kPostingEntryBytes);
     // The response carries the serving peer's term version (one uint64),
     // which is what makes the fetched list cacheable and later checkable.
-    const cache::TermSource term_source{target,
-                                        peer.TermVersion(term)};
-    sources_used.emplace(term, term_source);
-    if (explain_on) {
-      obs::TermExplain te;
-      te.term = dict.TermOf(term);
-      te.peer = target;
-      te.indexed_df = static_cast<uint32_t>(rl.postings->size());
-      term_explain_idx[term] = term_explains.size();
-      term_explains.push_back(std::move(te));
-    }
+    const cache::TermSource source{target, peer.TermVersion(term)};
     if (cache_.posting_enabled()) {
-      cache::CachedPostings entry;
-      entry.postings = stored != nullptr
-                           ? std::move(stored)
-                           : StoredPostings::Empty(peer.store_options());
-      entry.source = term_source;
-      cache_.InsertPostings(querying_peer, term, std::move(entry),
+      if (stored == nullptr) {
+        stored = StoredPostings::Empty(peer.store_options());
+      }
+      cache_.InsertPostings(plan.querying_peer, term,
+                            {std::move(stored), source},
                             tracer_.clock().now_ms());
     }
-    lists.push_back(std::move(rl));
-
+    record.AddList(term, target, source.version, Via::kFetched,
+                   std::move(plist));
+    // Hot-term caching: the peer's cached lists for the query's other terms
+    // ride in the same response — bytes, but no request and no lookup
+    // (Section 7: "the peer responsible for the hot term will not be
+    // contacted").
     if (config_.use_hot_term_cache) {
-      for (const TermId other : terms) {
-        if (resolved.count(other) > 0) continue;
+      for (const TermId other : plan.terms) {
+        if (record.Listed(other) != nullptr) continue;
         PostingListPtr cached = peer.CachedPostings(other);
         if (cached == nullptr) continue;
-        // The cached list rides in the same response as the direct
-        // request, so it adds bytes but no extra request load.
-        RetrievedList extra;
-        extra.term = other;
-        extra.postings = std::move(cached);
-        fetch_bytes += bus_.CompleteExchange(
-            p2p::MessageType::kQueryResponse,
-            extra.postings->size() * p2p::kPostingEntryBytes);
-        fetched_postings += extra.postings->size();
-        resolved.insert(other);
-        if (explain_on) {
-          obs::TermExplain te;
-          te.term = dict.TermOf(other);
-          te.peer = target;  // the hot cache that served the list
-          te.indexed_df = static_cast<uint32_t>(extra.postings->size());
-          te.from_cache = true;
-          term_explain_idx[other] = term_explains.size();
-          term_explains.push_back(std::move(te));
-        }
-        lists.push_back(std::move(extra));
+        exchange.wire_bytes +=
+            bus_.CompleteExchange(p2p::MessageType::kQueryResponse,
+                                  cached->size() * p2p::kPostingEntryBytes);
+        record.AddList(other, target, 0, Via::kHotExtra, std::move(cached));
       }
     }
-
-    // The fetch phase cost of this exchange: one request round trip plus
-    // the serialized request/response bytes (linear, so per-term spans sum
-    // to the aggregate fetch_ms below).
-    tracer_.clock().AdvanceMs(
-        latency_.RequestMs(1) +
-        latency_.TransferMs(fetch_bytes - fetch_bytes_before));
+    record.AddCost(exchange, latency_, tracer_.clock());
     fetch_span.Annotate("term", dict.TermOf(term));
     fetch_span.Annotate(
-        "peer_id",
-        StrFormat("%llu", static_cast<unsigned long long>(target)));
+        "peer_id", StrFormat("%llu", static_cast<unsigned long long>(target)));
     fetch_span.Annotate(
         "bytes", StrFormat("%llu", static_cast<unsigned long long>(
-                                       fetch_bytes - fetch_bytes_before)));
+                                       exchange.wire_bytes)));
     fetch_span.Annotate(
-        "postings", StrFormat("%zu", fetched_postings - postings_before));
-    if (wall_on) fetch_wall_ns += obs::MonotonicNowNs() - fetch_start_ns;
+        "postings", StrFormat("%zu", record.postings - postings_before));
+    if (wall_on) {
+      record.fetch_wall_ns += obs::MonotonicNowNs() - fetch_start_ns;
+    }
   }
+  return Status::OK();
+}
 
-  // Ranking at the querying peer: consolidate per-document entries and
-  // apply the Lee et al. similarity. The document frequency is the indexed
-  // document frequency n'_k (the list length) and N is the fixed constant
-  // of Section 4.
+void SpriteSystem::RankSearch(const SearchPlan& plan, size_t k,
+                              SearchRecord& record) {
+  // Lee et al. similarity at the querying peer, with the indexed document
+  // frequency n'_k (the list length) and the fixed N of Section 4.
+  const bool wall_on = wall_.enabled();
+  const bool explain_on = explain_.enabled();
   const uint64_t rank_start_ns = wall_on ? obs::MonotonicNowNs() : 0;
-  obs::ScopedSpan rank_span(&tracer_, "rank", PeerNameOf(querying_peer));
-  rank_span.Annotate("postings", StrFormat("%zu", fetched_postings));
-  tracer_.clock().AdvanceMs(latency_.RankMs(fetched_postings));
+  obs::ScopedSpan rank_span(&tracer_, "rank",
+                            PeerNameOf(plan.querying_peer));
+  rank_span.Annotate("postings", StrFormat("%zu", record.postings));
+  tracer_.clock().AdvanceMs(latency_.RankMs(record.postings));
   // The plan's pre-ranking is reusable iff the commit fetched exactly the
   // snapshots the plan ranked — same lists, same order, by pointer
   // identity — and no explain decomposition is needed. The accumulation
   // below is then bit-for-bit the same arithmetic over the same inputs.
-  bool reuse_planned_rank = plan.has_ranked && !explain_on &&
-                            lists.size() == plan.ranked_over.size();
-  if (reuse_planned_rank) {
-    for (size_t i = 0; i < lists.size(); ++i) {
-      if (lists[i].postings.get() != plan.ranked_over[i].get()) {
-        reuse_planned_rank = false;
-        break;
-      }
-    }
-  }
-  // The accumulation itself lives in core/ranking.h (shared with
-  // PreRankSearch and the live ClusterNode); the hooks feed the
-  // explain ledger without perturbing the arithmetic.
-  RankAccumMap acc;
-  // Per-doc (term, w_Qj*w_ij) contributions, collected only for the
-  // explain ledger.
-  std::unordered_map<DocId, std::vector<std::pair<std::string, double>>>
-      contribs;
-  struct ExplainHooks {
-    bool on;
-    const std::unordered_map<TermId, size_t>& idx;
-    std::vector<obs::TermExplain>& explains;
-    std::unordered_map<DocId,
-                       std::vector<std::pair<std::string, double>>>& contribs;
-    const TermDict& dict;
-    void OnListIdf(TermId term, double idf) {
-      if (!on) return;
-      if (auto it = idx.find(term); it != idx.end()) {
-        explains[it->second].idf = idf;
-      }
-    }
-    void OnContribution(TermId term, const PostingEntry& p, double w) {
-      if (on) contribs[p.doc].push_back({dict.TermOf(term), w});
-    }
-  };
-  ir::RankedList results;
-  if (reuse_planned_rank) {
-    results = plan.ranked;
+  if (plan.has_ranked && !explain_on &&
+      std::equal(record.lists.begin(), record.lists.end(),
+                 plan.ranked_over.begin(), plan.ranked_over.end(),
+                 [](const RetrievedList& l, const PostingListPtr& p) {
+                   return l.postings == p;
+                 })) {
+    record.results = plan.ranked;
   } else {
-    ExplainHooks hooks{explain_on, term_explain_idx, term_explains, contribs,
-                       dict};
-    results = RankRetrievedLists(lists, config_.idf_corpus_size,
-                                 fetched_postings, k, &acc, hooks);
+    // core/ranking.h, shared with PreRankSearch and the live ClusterNode;
+    // the hooks feed the explain ledger without touching the arithmetic.
+    struct ExplainHooks {
+      bool on;
+      SearchRecord& record;
+      void OnListIdf(TermId term, double idf) {
+        if (!on) return;
+        if (SearchRecord::Term* t = record.Listed(term)) t->idf = idf;
+      }
+      void OnContribution(TermId term, const PostingEntry& p, double w) {
+        if (!on) return;
+        record.contribs[p.doc].push_back({TermDict::Global().TermOf(term), w});
+      }
+    };
+    record.results = RankRetrievedLists(record.lists, config_.idf_corpus_size,
+                                        record.postings, k, &record.acc,
+                                        ExplainHooks{explain_on, record});
   }
   rank_span.End();
   if (wall_on) {
     wall_.RecordNs("perf.search.rank", obs::MonotonicNowNs() - rank_start_ns);
-    wall_.RecordNs("perf.search.route", route_wall_ns);
-    wall_.RecordNs("perf.search.fetch", fetch_wall_ns);
+    wall_.RecordNs("perf.search.route", record.route_wall_ns);
+    wall_.RecordNs("perf.search.fetch", record.fetch_wall_ns);
   }
+}
 
-  // Materialize the answer at the querying peer. Only a fully attributable
-  // result is cacheable: every term fetched from (or validated against) a
-  // known source, none skipped, none served by a hot-term-cache extra —
-  // otherwise a later version check could pass while part of the answer
-  // has no version at all.
-  if (cache_.result_enabled() && skipped_terms == 0 &&
-      sources_used.size() == terms.size()) {
-    cache::CachedResult entry;
-    entry.results = results;
-    entry.sources = std::move(sources_used);
-    cache_.InsertResult(querying_peer, result_key, std::move(entry),
-                        tracer_.clock().now_ms());
-  }
-
-  // Per-phase accounting: routing (sequential hops), fetching (request
-  // round trips + payload transfer), ranking (local merge over the
-  // retrieved postings).
-  const double route_ms = latency_.HopsMs(route_hops);
+void SpriteSystem::FinishSearch(const SearchPlan& plan, size_t k,
+                                SearchRecord& record,
+                                obs::ScopedSpan& search_span) {
+  using Via = SearchRecord::Via;
+  // Routing (sequential hops), fetching (round trips, transfer, retry
+  // backoff), ranking (local merge). A result-cache hit has no hops and no
+  // postings: its route and rank terms are exactly 0.
+  const double route_ms = latency_.HopsMs(record.route_hops);
   const double fetch_ms =
-      latency_.RequestMs(fetch_requests) + latency_.TransferMs(fetch_bytes);
-  const double rank_ms = latency_.RankMs(fetched_postings);
+      latency_.OperationMs(0, record.requests, record.wire_bytes) +
+      record.backoff_ms;
+  const double rank_ms = latency_.RankMs(record.postings);
+  const double total_ms = route_ms + fetch_ms + rank_ms;
   metrics_.Add("search.queries");
-  metrics_.Add("search.terms_skipped", skipped_terms);
-  metrics_.Observe("search.route_hops", static_cast<double>(route_hops));
+  // A result-cache hit never reached the route stage.
+  if (!record.result_cache_hit) {
+    metrics_.Add("search.terms_skipped", record.Count(Via::kSkipped));
+  }
+  metrics_.Observe("search.route_hops",
+                   static_cast<double>(record.route_hops));
   metrics_.Observe("search.postings_fetched",
-                   static_cast<double>(fetched_postings));
-  metrics_.Observe("search.results", static_cast<double>(results.size()));
+                   static_cast<double>(record.postings));
+  metrics_.Observe("search.results",
+                   static_cast<double>(record.results.size()));
   metrics_.Observe("latency.search.route_ms", route_ms);
   metrics_.Observe("latency.search.fetch_ms", fetch_ms);
   metrics_.Observe("latency.search.rank_ms", rank_ms);
-  metrics_.Observe("latency.search.total_ms", route_ms + fetch_ms + rank_ms);
-  search_span.Annotate("results", StrFormat("%zu", results.size()));
-  search_span.Annotate("total_ms",
-                       StrFormat("%.3f", route_ms + fetch_ms + rank_ms));
-  if (explain_on) {
-    obs::SearchExplain se;
-    se.issuance = issuance;
-    se.query = query_spelling;
-    se.k = k;
-    se.terms = std::move(term_explains);
-    const size_t keep =
-        std::min(results.size(), explain_.options().max_candidates);
-    se.candidates.reserve(keep);
-    for (size_t i = 0; i < keep; ++i) {
-      obs::CandidateExplain ce;
-      ce.doc = results[i].doc;
-      ce.score = results[i].score;
-      if (auto it = acc.find(results[i].doc); it != acc.end()) {
-        ce.distinct_terms = it->second.distinct_terms;
-      }
-      if (auto it = contribs.find(results[i].doc); it != contribs.end()) {
-        ce.contributions = std::move(it->second);
-      }
-      se.candidates.push_back(std::move(ce));
+  metrics_.Observe("latency.search.total_ms", total_ms);
+  if (record.result_cache_hit) search_span.Annotate("cache", "hit");
+  search_span.Annotate("results", StrFormat("%zu", record.results.size()));
+  search_span.Annotate("total_ms", StrFormat("%.3f", total_ms));
+
+  // Only a fully attributable result is cacheable: no term skipped and none
+  // from a hot-term extra, whose version is unknown.
+  if (cache_.result_enabled() && !record.result_cache_hit &&
+      record.Count(Via::kSkipped) + record.Count(Via::kHotExtra) == 0) {
+    cache::CachedResult entry{record.results, {}};
+    for (const SearchRecord::Term& t : record.terms) {
+      entry.sources.emplace(t.term, cache::TermSource{t.peer, t.version});
     }
-    explain_.RecordSearch(std::move(se));
+    cache_.InsertResult(plan.querying_peer, record.result_key,
+                        std::move(entry), tracer_.clock().now_ms());
   }
-  return results;
+
+  // Explain ledger: per-term provenance, per-candidate contributions.
+  if (!explain_.enabled()) return;
+  const TermDict& dict = TermDict::Global();
+  obs::SearchExplain se{plan.issuance, "", k, record.result_cache_hit, {}, {}};
+  for (const TermId term : plan.terms) {
+    if (!se.query.empty()) se.query += ' ';
+    se.query += dict.TermOf(term);
+  }
+  for (const SearchRecord::Term& t : record.terms) {
+    se.terms.push_back(obs::TermExplain{
+        dict.TermOf(t.term), t.peer, t.df, t.idf,
+        /*from_cache=*/t.via != Via::kFetched && t.via != Via::kSkipped,
+        /*skipped=*/t.via == Via::kSkipped});
+  }
+  const size_t keep =
+      std::min(record.results.size(), explain_.options().max_candidates);
+  for (size_t i = 0; i < keep; ++i) {
+    obs::CandidateExplain ce{record.results[i].doc, record.results[i].score,
+                             0, {}};
+    if (auto it = record.acc.find(ce.doc); it != record.acc.end()) {
+      ce.distinct_terms = it->second.distinct_terms;
+    }
+    if (auto it = record.contribs.find(ce.doc); it != record.contribs.end()) {
+      ce.contributions = std::move(it->second);
+    }
+    se.candidates.push_back(std::move(ce));
+  }
+  explain_.RecordSearch(std::move(se));
 }
 
 void SpriteSystem::PlanSearch(const corpus::Query& query,

@@ -353,23 +353,6 @@ class SpriteSystem {
   // inverted list, one per cached query) and installs it there; advances
   // the clock by the transfer. Returns the wire bytes charged.
   uint64_t TransferKeys(PeerId to, const IndexingPeer::Handoff& handoff);
-  // Runs the version-check protocol for a cached entry built from
-  // `sources`: one direct kVersionCheck exchange per distinct source peer
-  // (the querying peer cached the addresses with the entry, so no Chord
-  // routing happens). A piggybacked query record rides along exactly like
-  // on a normal fetch. Returns whether every source is alive, still
-  // responsible for its term, and at the cached version; the exchanges'
-  // request/byte costs are accumulated into `requests`/`bytes`.
-  bool ValidateCachedSources(
-      const std::vector<std::pair<TermId, cache::TermSource>>& sources,
-      const std::optional<QueryRecord>& rec,
-      std::unordered_set<PeerId>& recorded_at, uint64_t& requests,
-      uint64_t& bytes);
-  // Oracle staleness test for blind (cache_validate=false) serving: would
-  // the version check have failed? Costs no messages; it only feeds the
-  // cache.*.stale_serves counters so staleness is measured, not hidden.
-  bool CachedSourcesStale(
-      const std::vector<std::pair<TermId, cache::TermSource>>& sources) const;
   // Adds `entry` to (or removes `doc` from) the posting list of `term` at
   // the peer that the planned `route` from `owner` reaches.
   Status PublishTerm(PeerId owner, TermId term,
@@ -403,6 +386,7 @@ class SpriteSystem {
   void PlanRecord(RecordPlan& plan) const;
   void CommitRecord(const RecordPlan& plan);
 
+  // A search before its commit; CommitSearch only reads it.
   struct SearchPlan {
     // Prologue.
     uint64_t issuance = 0;
@@ -429,10 +413,33 @@ class SpriteSystem {
   void PlanSearch(const corpus::Query& query, SearchPlan& plan) const;
   // Fills the plan's pre-ranking. It pays only when plans run in parallel.
   void PreRankSearch(size_t k, SearchPlan& plan) const;
-  // The search itself: cache tiers, route commits, fetches, ranking, and
-  // all of their spans, metrics and explain records.
+  // The search itself (DESIGN.md §12): the cache, route/fetch and rank
+  // stages below fill one SearchRecord (sprite_system.cc), from which
+  // FinishSearch derives metrics, span summary, result-cache entry and
+  // explain record. A result-cache hit skips route/fetch and rank.
   StatusOr<ir::RankedList> CommitSearch(const corpus::Query& query, size_t k,
                                         const SearchPlan& plan);
+  struct SearchRecord;
+  bool ServeFromResultCache(const SearchPlan& plan, size_t k,
+                            SearchRecord& record);
+  Status RouteAndFetch(const SearchPlan& plan, SearchRecord& record);
+  bool ServeFromPostingCache(TermId term, const SearchPlan& plan,
+                             SearchRecord& record);
+  void RankSearch(const SearchPlan& plan, size_t k, SearchRecord& record);
+  void FinishSearch(const SearchPlan& plan, size_t k, SearchRecord& record,
+                    obs::ScopedSpan& search_span);
+  // The one cache consult of both tiers (`posting_term` names a posting
+  // tier entry), for a lookup that returned `sources` (nullptr on a miss):
+  // validated, the hit is served only if a version check with each source
+  // peer (charged to the record) finds every source current; blind, it is
+  // served and a stale serve counted. Records the cache.lookup span.
+  template <typename Sources>
+  bool ConsultCache(cache::CacheTier tier, TermId posting_term,
+                    const Sources* sources, const SearchPlan& plan,
+                    SearchRecord& record);
+  // Counts a peer's load for serving one of the search's exchanges and
+  // hands it the piggybacked query record once.
+  void NoteServed(PeerId peer, const SearchPlan& plan, SearchRecord& record);
   // The worker pool of the batch calls, sized by config_.num_threads
   // (lazily constructed so single calls never spawn threads).
   WorkerPool& pool();

@@ -19,10 +19,9 @@ StatusOr<wire::Frame> SimTransport::Call(const PeerAddress& to,
                                          const CallOptions& opts) {
   auto it = handlers_.find(to.id);
   const bool answering = it != handlers_.end() && down_.count(to.id) == 0;
-  ChargeRequest(request.type, request.wire_size(), answering, opts);
-  if (!answering) {
-    return Status::DeadlineExceeded("peer unreachable on sim bus");
-  }
+  const Charge sent =
+      ChargeRequest(request.type, request.wire_size(), answering, opts);
+  if (!sent.status.ok()) return sent.status;
   StatusOr<wire::Frame> response = it->second(request);
   if (response.ok()) {
     stats_.CountFrame(response->type, response->wire_size());
@@ -45,33 +44,32 @@ Status SimTransport::Send(const PeerAddress& to, const wire::Frame& frame,
   return Status::OK();
 }
 
-uint64_t SimTransport::ChargeRequest(p2p::MessageType type,
-                                     uint64_t wire_bytes, bool up,
-                                     const CallOptions& opts) {
-  const size_t attempts = up ? 1 : opts.retries + 1;
-  for (size_t attempt = 0; attempt < attempts; ++attempt) {
+Charge SimTransport::ChargeRequest(p2p::MessageType type, uint64_t wire_bytes,
+                                  bool up, const CallOptions& opts) {
+  Charge charge;
+  charge.attempts = up ? 1 : opts.retries + 1;
+  charge.wire_bytes = charge.attempts * wire_bytes;
+  for (size_t attempt = 0; attempt < charge.attempts; ++attempt) {
     stats_.CountFrame(type, wire_bytes);
-    if (attempt + 1 < attempts) {
+    if (attempt + 1 < charge.attempts) {
       stats_.CountRetry(type);
-      if (advance_ms_) advance_ms_(BackoffMs(opts, attempt));
+      const double wait = BackoffMs(opts, attempt);
+      charge.backoff_ms += wait;
+      if (advance_ms_) advance_ms_(wait);
     }
   }
-  if (!up) stats_.CountTimeout(type);
-  return attempts;
+  if (!up) {
+    stats_.CountTimeout(type);
+    charge.status = Status::DeadlineExceeded("peer unreachable on sim bus");
+  }
+  return charge;
 }
 
 Charge SimTransport::CostSend(p2p::PeerId to, p2p::MessageType type,
                               size_t payload_bytes, const CallOptions& opts) {
   const bool up = reachable_ ? reachable_(to) : true;
-  const uint64_t wire_bytes = p2p::kMessageHeaderBytes + payload_bytes;
-  Charge charge;
-  charge.attempts = ChargeRequest(type, wire_bytes, up, opts);
-  charge.wire_bytes = charge.attempts * wire_bytes;
-  if (!up) {
-    charge.status =
-        Status::DeadlineExceeded("direct send to departed peer timed out");
-  }
-  return charge;
+  return ChargeRequest(type, p2p::kMessageHeaderBytes + payload_bytes, up,
+                       opts);
 }
 
 uint64_t SimTransport::CompleteExchange(p2p::MessageType type,

@@ -13,14 +13,15 @@
 namespace sprite::net {
 
 // What one cost-seam send charged: its outcome, the request legs sent
-// (1 + retries when the peer stays silent) and the wire bytes of every
-// attempt, header included. Callers feed these figures to the latency
-// model and the simulated clock, so the bus is the only place a message
-// is sized.
+// (1 + retries when the peer stays silent), the wire bytes of every
+// attempt, header included, and the backoff waits it advanced the clock
+// by. Callers feed these figures to the latency model and the simulated
+// clock, so the bus is the only place a message is sized.
 struct Charge {
   Status status;
   uint64_t attempts = 0;
   uint64_t wire_bytes = 0;
+  double backoff_ms = 0.0;
 };
 
 // The in-process simulated bus. It serves two roles:
@@ -84,8 +85,9 @@ class SimTransport : public Transport {
 
   // One-way direct send under the cost model. Charges one request of
   // kMessageHeaderBytes + `payload_bytes` per attempt; between attempts
-  // advances the sim clock by the exponential backoff wait. The status is
-  // DeadlineExceeded when `to` stays unreachable through every attempt.
+  // advances the sim clock by the exponential backoff wait (reported as
+  // `backoff_ms`). The status is DeadlineExceeded when `to` stays
+  // unreachable through every attempt.
   Charge CostSend(p2p::PeerId to, p2p::MessageType type, size_t payload_bytes,
                   const CallOptions& opts);
 
@@ -107,9 +109,9 @@ class SimTransport : public Transport {
  private:
   // Books a request leg of `wire_bytes`: one attempt when `up`, otherwise
   // 1 + opts.retries attempts with backoff waits between them, then a
-  // timeout. Returns the number of attempts.
-  uint64_t ChargeRequest(p2p::MessageType type, uint64_t wire_bytes, bool up,
-                         const CallOptions& opts);
+  // timeout.
+  Charge ChargeRequest(p2p::MessageType type, uint64_t wire_bytes, bool up,
+                       const CallOptions& opts);
 
   std::unordered_map<p2p::PeerId, Handler> handlers_;
   std::unordered_set<p2p::PeerId> down_;

@@ -20,6 +20,7 @@
 #include "obs/perf.h"
 #include "obs/slo.h"
 #include "obs/timeseries.h"
+#include "text/term_dict.h"
 
 namespace sprite::obs {
 namespace {
@@ -800,6 +801,164 @@ TEST_F(ObsIntegrationTest, ExplainDecomposesSearch) {
     }
   }
   EXPECT_EQ(system.metrics().counter("explain.searches"), 1u);
+}
+
+// Provenance of every way a term's list is obtained other than a plain
+// fetch: a result-cache hit, a posting-cache hit, a hot-term-cache extra,
+// and an unreachable term skipped by policy.
+uint64_t PeerOf(const core::SpriteSystem& system, const std::string& term) {
+  return system.ring()
+      .ResponsibleNode(system.ring().space().KeyForString(term))
+      .value();
+}
+
+TEST_F(ObsIntegrationTest, ExplainRecordsResultCacheHitProvenance) {
+  core::SpriteConfig config = TelemetryConfig();
+  config.enable_result_cache = true;
+  core::SpriteSystem system(config);
+  ASSERT_TRUE(system.ShareCorpus(corpus_).ok());
+  // Each issuance picks its own querying peer (each with its own cache):
+  // repeat the query until one of them answers from its cache.
+  ir::RankedList hit;
+  const SearchExplain* ex = nullptr;
+  uint64_t issuance = 0;
+  while (issuance < 64) {
+    ++issuance;
+    auto result = system.Search(Q(issuance, {"dog", "cat"}), 10, false);
+    ASSERT_TRUE(result.ok());
+    hit = *result;
+    ex = system.explainer().latest_search();
+    ASSERT_NE(ex, nullptr);
+    if (ex->served_from_result_cache) break;
+  }
+  ASSERT_TRUE(ex->served_from_result_cache);
+  ASSERT_FALSE(hit.empty());
+  EXPECT_EQ(ex->issuance, issuance);
+  EXPECT_EQ(ex->query, "dog cat");
+  EXPECT_EQ(ex->k, 10u);
+  // The cached entry's source map, in its (term-id) order.
+  std::vector<std::string> order = {"dog", "cat"};
+  std::sort(order.begin(), order.end(),
+            [](const std::string& a, const std::string& b) {
+              return text::TermDict::Global().Lookup(a) <
+                     text::TermDict::Global().Lookup(b);
+            });
+  ASSERT_EQ(ex->terms.size(), 2u);
+  for (size_t i = 0; i < order.size(); ++i) {
+    const TermExplain& t = ex->terms[i];
+    EXPECT_EQ(t.term, order[i]);
+    EXPECT_EQ(t.peer, PeerOf(system, order[i]));
+    EXPECT_TRUE(t.from_cache);
+    EXPECT_FALSE(t.skipped);
+    EXPECT_EQ(t.indexed_df, 0u);
+    EXPECT_EQ(t.idf, 0.0);
+  }
+  // The cached ranking itself, without a score decomposition.
+  ASSERT_EQ(ex->candidates.size(), hit.size());
+  for (size_t i = 0; i < hit.size(); ++i) {
+    EXPECT_EQ(ex->candidates[i].doc, hit[i].doc);
+    EXPECT_EQ(ex->candidates[i].score, hit[i].score);
+    EXPECT_EQ(ex->candidates[i].distinct_terms, 0u);
+    EXPECT_TRUE(ex->candidates[i].contributions.empty());
+  }
+}
+
+TEST_F(ObsIntegrationTest, ExplainRecordsPostingCacheHitProvenance) {
+  core::SpriteConfig config = TelemetryConfig();
+  config.enable_posting_cache = true;
+  core::SpriteSystem system(config);
+  ASSERT_TRUE(system.ShareCorpus(corpus_).ok());
+  ASSERT_TRUE(system.Search(Q(1, {"cat", "dog"}), 10, false).ok());
+  const SearchExplain fetched = *system.explainer().latest_search();
+  ASSERT_EQ(fetched.terms.size(), 2u);
+  const TermExplain& fetched_cat = fetched.terms[0];
+  EXPECT_EQ(fetched_cat.term, "cat");
+  EXPECT_FALSE(fetched_cat.from_cache);
+
+  // Repeat until the querying peer is one whose posting tier holds "cat".
+  const SearchExplain* ex = nullptr;
+  for (corpus::QueryId id = 2; id < 64; ++id) {
+    ASSERT_TRUE(system.Search(Q(id, {"cat"}), 10, false).ok());
+    ex = system.explainer().latest_search();
+    ASSERT_NE(ex, nullptr);
+    ASSERT_EQ(ex->terms.size(), 1u);
+    if (ex->terms[0].from_cache) break;
+  }
+  EXPECT_FALSE(ex->served_from_result_cache);
+  const TermExplain& t = ex->terms[0];
+  EXPECT_EQ(t.term, "cat");
+  EXPECT_EQ(t.peer, PeerOf(system, "cat"));
+  EXPECT_TRUE(t.from_cache);
+  EXPECT_FALSE(t.skipped);
+  EXPECT_EQ(t.indexed_df, fetched_cat.indexed_df);
+  EXPECT_GT(t.indexed_df, 0u);
+  EXPECT_EQ(t.idf, fetched_cat.idf);
+  ASSERT_FALSE(ex->candidates.empty());
+  for (const CandidateExplain& c : ex->candidates) {
+    ASSERT_EQ(c.contributions.size(), 1u);
+    EXPECT_EQ(c.contributions[0].first, "cat");
+  }
+}
+
+TEST_F(ObsIntegrationTest, ExplainRecordsHotTermExtraProvenance) {
+  core::SpriteConfig config = TelemetryConfig();
+  config.use_hot_term_cache = true;
+  core::SpriteSystem system(config);
+  for (corpus::QueryId i = 0; i < 5; ++i) {
+    system.RecordQuery(Q(i, {"cat", "dog"}));
+  }
+  ASSERT_TRUE(system.ShareCorpus(corpus_).ok());
+  ASSERT_GT(system.RunHotTermCaching(2), 0u);
+  ASSERT_TRUE(system.Search(Q(10, {"cat", "dog"}), 10, false).ok());
+
+  const SearchExplain* ex = system.explainer().latest_search();
+  ASSERT_NE(ex, nullptr);
+  ASSERT_EQ(ex->terms.size(), 2u);
+  // One term is fetched from its own peer; that peer's hot-term cache
+  // serves the other in the same response.
+  const TermExplain& direct = ex->terms[0];
+  const TermExplain& extra = ex->terms[1];
+  EXPECT_NE(direct.term, extra.term);
+  EXPECT_FALSE(direct.from_cache);
+  EXPECT_EQ(direct.peer, PeerOf(system, direct.term));
+  EXPECT_TRUE(extra.from_cache);
+  EXPECT_FALSE(extra.skipped);
+  EXPECT_EQ(extra.peer, direct.peer);
+  EXPECT_GT(extra.indexed_df, 0u);
+  EXPECT_GT(extra.idf, 0.0);
+}
+
+TEST_F(ObsIntegrationTest, ExplainRecordsSkippedTermProvenance) {
+  core::SpriteConfig config = TelemetryConfig();
+  // With one successor entry, the dead peer's predecessor has no alive
+  // successor until stabilization, so routes through it fail.
+  config.successor_list_size = 1;
+  core::SpriteSystem system(config);
+  ASSERT_TRUE(system.ShareCorpus(corpus_).ok());
+  ASSERT_TRUE(system.FailPeer(PeerOf(system, "cat")).ok());
+  ASSERT_TRUE(system.Search(Q(1, {"cat", "dog"}), 10, false).ok());
+  EXPECT_EQ(system.metrics().counter("search.terms_skipped"), 1u);
+
+  const SearchExplain* ex = system.explainer().latest_search();
+  ASSERT_NE(ex, nullptr);
+  ASSERT_EQ(ex->terms.size(), 2u);
+  const TermExplain& cat = ex->terms[0];
+  EXPECT_EQ(cat.term, "cat");
+  EXPECT_TRUE(cat.skipped);
+  EXPECT_FALSE(cat.from_cache);
+  EXPECT_EQ(cat.peer, 0u);
+  EXPECT_EQ(cat.indexed_df, 0u);
+  EXPECT_EQ(cat.idf, 0.0);
+  const TermExplain& dog = ex->terms[1];
+  EXPECT_EQ(dog.term, "dog");
+  EXPECT_FALSE(dog.skipped);
+  EXPECT_FALSE(dog.from_cache);
+  EXPECT_EQ(dog.peer, PeerOf(system, "dog"));
+  EXPECT_GT(dog.indexed_df, 0u);
+  ASSERT_FALSE(ex->candidates.empty());
+  for (const CandidateExplain& c : ex->candidates) {
+    for (const auto& [term, w] : c.contributions) EXPECT_EQ(term, "dog");
+  }
 }
 
 TEST_F(ObsIntegrationTest, ExplainLedgerRecordsPublishAndWithdraw) {

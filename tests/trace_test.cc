@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cache/cache.h"
 #include "common/check.h"
 #include "core/sprite_system.h"
 #include "corpus/corpus.h"
@@ -363,6 +364,92 @@ TEST(TraceIntegrationTest, SearchSpanTreeSumsToTotalLatency) {
   EXPECT_EQ(static_cast<double>(hop_spans), hops->Mean() *
                                                 static_cast<double>(
                                                     hops->count()));
+}
+
+// The same property across every cache outcome: validated result and
+// posting hits, entries made stale by an index change, and cached sources
+// whose peer has failed (probes that time out, with and without retry
+// backoff). Each search's root must last exactly its total_ms annotation
+// and its latency.search.total_ms observation.
+TEST(TraceIntegrationTest, SearchSpanTreeSumsToTotalLatencyThroughCaches) {
+  for (const size_t retries : {size_t{0}, size_t{2}}) {
+    SCOPED_TRACE(retries);
+    corpus::Corpus corpus = PetCorpus();
+    // Shared later: a new "cat" posting bumps that term's version.
+    const corpus::DocId late =
+        corpus.AddDocument(TV({"cat", "cat", "cat", "cat", "mouse"}));
+    core::SpriteConfig config = SmallConfig();
+    config.enable_result_cache = true;
+    config.enable_posting_cache = true;
+    config.cache_validate = true;
+    config.send_retries = retries;
+    core::SpriteSystem system(config);
+    for (corpus::DocId d = 0; d < late; ++d) {
+      ASSERT_TRUE(system.ShareDocument(corpus.doc(d)).ok());
+    }
+    system.mutable_tracer().set_enabled(true);
+
+    // Every issuance picks its own querying peer, and each peer has its
+    // own caches, so each phase repeats the queries until peers hit.
+    cache::CacheTierStats result, posting;
+    uint64_t timeouts = 0;
+    corpus::QueryId next_id = 1;
+    auto run_phase = [&]() {
+      for (int i = 0; i < 40; ++i) {
+        const corpus::QueryId id = next_id++;
+        std::vector<std::string> terms = {"cat"};
+        if (i % 3 != 2) terms.push_back("dog");
+        system.ClearMetrics();
+        ASSERT_TRUE(system.Search(Q(id, terms), 10).ok());
+        const cache::CacheManager& c = system.query_cache();
+        result.hits += c.stats(cache::CacheTier::kResult).hits;
+        result.stale_rejects +=
+            c.stats(cache::CacheTier::kResult).stale_rejects;
+        posting.hits += c.stats(cache::CacheTier::kPosting).hits;
+        posting.stale_rejects +=
+            c.stats(cache::CacheTier::kPosting).stale_rejects;
+        timeouts += system.transport_stats().TotalTimeouts();
+
+        const Histogram* total =
+            system.metrics().histogram("latency.search.total_ms");
+        ASSERT_NE(total, nullptr);
+        ASSERT_EQ(total->count(), 1u);
+        const Span* root = nullptr;
+        for (const Trace* trace : system.tracer().Retained()) {
+          const Span* r = trace->root();
+          if (r != nullptr && r->name == "search" &&
+              r->annotations.at("query") == std::to_string(id)) {
+            root = r;
+          }
+        }
+        ASSERT_NE(root, nullptr) << "query " << id;
+        EXPECT_NEAR(root->duration_ms(), total->Mean(), 1e-6)
+            << "query " << id;
+        EXPECT_NEAR(root->duration_ms(),
+                    std::stod(root->annotations.at("total_ms")), 5e-4 + 1e-9)
+            << "query " << id;
+      }
+    };
+
+    run_phase();  // fills both tiers, then validated hits
+    EXPECT_GT(result.hits, 0u);
+    EXPECT_GT(posting.hits, 0u);
+    ASSERT_TRUE(system.ShareDocument(corpus.doc(late)).ok());
+    run_phase();  // entries sourced before the new posting are stale
+    EXPECT_GT(result.stale_rejects, 0u);
+    EXPECT_GT(posting.stale_rejects, 0u);
+    const uint64_t stale_before = result.stale_rejects;
+    ASSERT_TRUE(system.FailPeer(system.ring()
+                                    .ResponsibleNode(
+                                        system.ring().space().KeyForString(
+                                            "dog"))
+                                    .value())
+                    .ok());
+    system.StabilizeNetwork(2);
+    run_phase();  // probes of the dead source time out
+    EXPECT_GT(result.stale_rejects, stale_before);
+    EXPECT_GT(timeouts, 0u);
+  }
 }
 
 TEST(TraceIntegrationTest, LearningAndMaintenanceProduceTraces) {

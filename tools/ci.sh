@@ -79,6 +79,10 @@ EOF
 cmp "$SMOKE_DIR/cache_on.json" "$SMOKE_DIR/cache_on2.json"
 cmp "$SMOKE_DIR/cache_on_trace.json" "$SMOKE_DIR/cache_on2_trace.json"
 cmp "$SMOKE_DIR/cache_on_trace.jsonl" "$SMOKE_DIR/cache_on2_trace.jsonl"
+# The cache path's golden: the fig4a guard below runs with caches off, so
+# this byte-guards the result and posting tiers, their validation and
+# invalidation, and the search accounting around them.
+cmp tests/golden/cache_effect_d200_p16_metrics.json "$SMOKE_DIR/cache_on.json"
 echo "cache smoke OK"
 
 echo "== perf smoke: hot-path speedups and ranked-output identity =="
