@@ -279,14 +279,21 @@ PostingEntry SpriteSystem::MakePosting(const OwnedDocument& owned,
   return entry;
 }
 
+StatusOr<dht::ChordRing::LookupResult> SpriteSystem::CommitRoute(
+    const dht::ChordRing::LookupPlan& plan, uint64_t* hops) {
+  StatusOr<dht::ChordRing::LookupResult> target = ring_.CommitLookup(plan);
+  bus_.ChargeLookupHops(static_cast<int>(plan.path.size()));
+  if (hops != nullptr) *hops = plan.path.size();
+  return target;
+}
+
 Status SpriteSystem::PublishTerm(PeerId owner, TermId term,
                                  const dht::ChordRing::LookupPlan& route,
                                  const PostingEntry& entry) {
   obs::ScopedSpan span(&tracer_, "publish.term", PeerNameOf(owner));
   span.Annotate("term", TermDict::Global().TermOf(term));
-  StatusOr<dht::ChordRing::LookupResult> target = ring_.CommitLookup(route);
+  StatusOr<dht::ChordRing::LookupResult> target = CommitRoute(route);
   if (!target.ok()) return target.status();
-  bus_.ChargeLookupHops(target->hops);
   const net::Charge sent =
       bus_.CostSend(target->node, p2p::MessageType::kPublishTerm,
                     p2p::kTermBytes + p2p::kPostingEntryBytes,
@@ -306,9 +313,8 @@ Status SpriteSystem::WithdrawTerm(PeerId owner, TermId term,
                                   DocId doc) {
   obs::ScopedSpan span(&tracer_, "withdraw.term", PeerNameOf(owner));
   span.Annotate("term", TermDict::Global().TermOf(term));
-  StatusOr<dht::ChordRing::LookupResult> target = ring_.CommitLookup(route);
+  StatusOr<dht::ChordRing::LookupResult> target = CommitRoute(route);
   if (!target.ok()) return target.status();
-  bus_.ChargeLookupHops(target->hops);
   const net::Charge sent =
       bus_.CostSend(target->node, p2p::MessageType::kWithdrawTerm,
                     p2p::kTermBytes, DirectCallOptions());
@@ -469,10 +475,9 @@ void SpriteSystem::CommitRecord(const RecordPlan& plan) {
     obs::ScopedSpan route_span(&tracer_, "route", PeerNameOf(plan.origin));
     route_span.Annotate("term", dict.TermOf(plan.rec.terms[t]));
     StatusOr<dht::ChordRing::LookupResult> target =
-        ring_.CommitLookup(plan.routes[t]);
+        CommitRoute(plan.routes[t]);
     route_span.End();
     if (!target.ok()) continue;  // unreachable arc: this copy is lost
-    bus_.ChargeLookupHops(target->hops);
     if (recorded_at.insert(target->node).second) {
       indexing_.at(target->node).RecordQuery(plan.rec);
     }
@@ -747,21 +752,21 @@ Status SpriteSystem::RouteAndFetch(const SearchPlan& plan,
     obs::ScopedSpan route_span(&tracer_, "route",
                                PeerNameOf(plan.querying_peer));
     route_span.Annotate("term", dict.TermOf(term));
-    // Committing the planned route replays the lookup's effect stream
-    // (ring stats, chord.* metrics, hop traces).
+    // A failed route still traversed (and timed) its hops, so they count
+    // toward the search's route cost either way.
+    uint64_t hops = 0;
     StatusOr<dht::ChordRing::LookupResult> route =
-        ring_.CommitLookup(plan.routes[t]);
-    if (route.ok()) bus_.ChargeLookupHops(route->hops);
+        CommitRoute(plan.routes[t], &hops);
     route_span.End();
     if (wall_on) {
       record.route_wall_ns += obs::MonotonicNowNs() - route_start_ns;
     }
+    record.route_hops += hops;
     if (!route.ok()) {
       record.terms.push_back({term, 0, 0, 0, Via::kSkipped});
       if (config_.skip_unreachable_terms) continue;  // Section 7, scheme 1
       return route.status();
     }
-    record.route_hops += static_cast<uint64_t>(route->hops);
 
     // One fetch span per exchange, attributed to the serving peer.
     const PeerId target = route->node;
@@ -1189,10 +1194,7 @@ void SpriteSystem::RunLearningIteration() {
       obs::ScopedSpan route_span(&tracer_, "route",
                                  PeerNameOf(unit.owner_id));
       route_span.Annotate("term", dict.TermOf(unit.poll_terms[t]));
-      StatusOr<dht::ChordRing::LookupResult> target =
-          ring_.CommitLookup(unit.routes[t]);
-      route_span.End();
-      if (target.ok()) bus_.ChargeLookupHops(target->hops);
+      (void)CommitRoute(unit.routes[t]);
     }
 
     // Poll each peer with the full term list (Section 3's index update
@@ -1652,16 +1654,16 @@ size_t SpriteSystem::RunHeartbeats() {
         obs::ScopedSpan probe_span(&tracer_, "heartbeat.probe",
                                    PeerNameOf(owner_id));
         probe_span.Annotate("term", term);
+        uint64_t hops = 0;
         StatusOr<dht::ChordRing::LookupResult> target =
-            ring_.CommitLookup(PlanRoute(owner_id, id));
+            CommitRoute(PlanRoute(owner_id, id), &hops);
+        probe_hops += hops;
         if (!target.ok()) continue;  // arc unreachable; retry next period
-        bus_.ChargeLookupHops(target->hops);
         const uint64_t bytes_before = probe_bytes;
         probe_bytes += bus_.CostSend(target->node, p2p::MessageType::kHeartbeat,
                                      p2p::kTermBytes, DirectCallOptions())
                            .wire_bytes;
         ++probes;
-        probe_hops += static_cast<uint64_t>(target->hops);
         // A live peer that lost the posting (e.g. responsibility moved to
         // it after an unreplicated failure) gets it re-published.
         IndexingPeer& peer = indexing_.at(target->node);

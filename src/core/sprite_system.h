@@ -330,10 +330,16 @@ class SpriteSystem {
     return ring_.space().Truncate(TermDict::Global().RawKeyOf(term));
   }
   // Plans the lookup from `from` to the peer responsible for `term`. Pure;
-  // ring().CommitLookup replays its effects.
+  // CommitRoute replays its effects.
   dht::ChordRing::LookupPlan PlanRoute(PeerId from, TermId term) const {
     return ring_.PlanFindSuccessor(from, RingKeyOf(term));
   }
+  // Commits a planned route: the ring replays the lookup's effects (stats,
+  // chord.* metrics, one chord.hop span per hop), and the bus is charged
+  // one LookupHop per hop traversed, whether the route succeeded or not.
+  // `*hops`, if given, receives that count.
+  StatusOr<dht::ChordRing::LookupResult> CommitRoute(
+      const dht::ChordRing::LookupPlan& plan, uint64_t* hops = nullptr);
   // Stamps a new issuance: deduped terms, ring hash key, fresh seq.
   QueryRecord MakeQueryRecord(const corpus::Query& query);
   // Refreshes the peers.alive / peers.total gauges after membership events.

@@ -452,6 +452,64 @@ TEST(TraceIntegrationTest, SearchSpanTreeSumsToTotalLatencyThroughCaches) {
   }
 }
 
+// The same property when a term's route fails: with one-entry successor
+// lists and no stabilization, lookups for the dead peer's term break off
+// mid-ring after traversing (and timing) some hops. Those hops belong to
+// the search's route cost, and the bus must carry one LookupHop per
+// chord.hop span.
+TEST(TraceIntegrationTest, SearchSpanTreeSumsToTotalLatencyPastUnreachableTerm) {
+  corpus::Corpus corpus = PetCorpus();
+  core::SpriteConfig config = SmallConfig();
+  config.successor_list_size = 1;
+  core::SpriteSystem system(config);
+  ASSERT_TRUE(system.ShareCorpus(corpus).ok());
+  ASSERT_TRUE(system.FailPeer(system.ring()
+                                  .ResponsibleNode(
+                                      system.ring().space().KeyForString(
+                                          "cat"))
+                                  .value())
+                  .ok());
+  system.mutable_tracer().set_enabled(true);
+  const uint64_t failed_before = system.ring().stats().failed_lookups;
+
+  // ClearMetrics also resets the bus's counters, so sum them per search.
+  uint64_t hop_messages = 0;
+  for (corpus::QueryId id = 1; id <= 8; ++id) {
+    system.ClearMetrics();
+    ASSERT_TRUE(system.Search(Q(id, {"cat", "dog"}), 10, /*record=*/false)
+                    .ok());
+    hop_messages += system.transport_stats().traffic().MessagesOf(
+        p2p::MessageType::kLookupHop);
+    const Histogram* total =
+        system.metrics().histogram("latency.search.total_ms");
+    ASSERT_NE(total, nullptr);
+    ASSERT_EQ(total->count(), 1u);
+    const Span* root = nullptr;
+    for (const Trace* trace : system.tracer().Retained()) {
+      const Span* r = trace->root();
+      if (r != nullptr && r->name == "search" &&
+          r->annotations.at("query") == std::to_string(id)) {
+        root = r;
+      }
+    }
+    ASSERT_NE(root, nullptr) << "query " << id;
+    EXPECT_NEAR(root->duration_ms(), total->Mean(), 1e-6) << "query " << id;
+    EXPECT_NEAR(root->duration_ms(),
+                std::stod(root->annotations.at("total_ms")), 5e-4 + 1e-9)
+        << "query " << id;
+  }
+  EXPECT_GT(system.ring().stats().failed_lookups, failed_before);
+
+  size_t hop_spans = 0;
+  for (const Trace* trace : system.tracer().Retained()) {
+    for (const Span& s : trace->spans) {
+      if (s.name == "chord.hop") ++hop_spans;
+    }
+  }
+  EXPECT_GT(hop_spans, 0u);
+  EXPECT_EQ(hop_messages, hop_spans);
+}
+
 TEST(TraceIntegrationTest, LearningAndMaintenanceProduceTraces) {
   corpus::Corpus corpus = PetCorpus();
   core::SpriteConfig config = SmallConfig();

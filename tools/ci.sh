@@ -51,6 +51,20 @@ assert any("dur_ms" in rec for rec in lines[1:]), "no span records"
 EOF
 ./build/tools/sprite_cli trace-report "$SMOKE_DIR/trace.jsonl" --top=3 \
   >/dev/null
+# The Chord lookup bench's instrumented sample: a lookup-hop histogram and
+# nothing from any other overlay.
+./build/bench/chord_lookup --metrics-json="$SMOKE_DIR/chord.json" >/dev/null
+python3 -m json.tool "$SMOKE_DIR/chord.json" >/dev/null
+python3 - "$SMOKE_DIR/chord.json" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    m = json.load(f)
+names = [e["name"] for kind in ("counters", "gauges", "histograms")
+         for e in m.get(kind, [])]
+hists = [e["name"] for e in m.get("histograms", [])]
+assert "chord.lookup_hops" in hists, hists
+assert not any(n.startswith("kad.") for n in names), names
+EOF
 echo "observability smoke OK"
 
 echo "== cache smoke: hit rate, cache=off parity, determinism =="

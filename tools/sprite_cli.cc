@@ -80,6 +80,7 @@
 
 #include "cache/cache.h"
 #include "common/check.h"
+#include "common/json_util.h"
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "core/sprite_system.h"
@@ -788,39 +789,9 @@ int CmdQuery(int argc, char** argv) {
 
 // --- cluster-report: the trace/metrics collector (DESIGN.md §16) -----------
 
-// Minimal scanners for the daemon's own JSON output. We control both ends
-// of this exchange and every value is flat, so — like obs::ParseTraceDump —
-// a full JSON parser stays unnecessary.
-
-// Reads the string value of `key` out of one flat JSON object, undoing the
-// \" and \\ escapes JsonEscape produces.
-bool FindJsonString(const std::string& obj, const std::string& key,
-                    std::string* out) {
-  const std::string needle = "\"" + key + "\":\"";
-  const size_t pos = obj.find(needle);
-  if (pos == std::string::npos) return false;
-  out->clear();
-  for (size_t i = pos + needle.size(); i < obj.size(); ++i) {
-    if (obj[i] == '\\' && i + 1 < obj.size()) {
-      out->push_back(obj[++i]);
-    } else if (obj[i] == '"') {
-      return true;
-    } else {
-      out->push_back(obj[i]);
-    }
-  }
-  return false;
-}
-
-bool FindJsonNumber(const std::string& obj, const std::string& key,
-                    double* out) {
-  const std::string needle = "\"" + key + "\":";
-  const size_t pos = obj.find(needle);
-  if (pos == std::string::npos) return false;
-  char* end = nullptr;
-  *out = std::strtod(obj.c_str() + pos + needle.size(), &end);
-  return end != obj.c_str() + pos + needle.size();
-}
+// The daemon's own JSON output is flat and we control both ends of the
+// exchange, so — like obs::ParseTraceDump — the line probes in
+// common/json_util.h stand in for a full JSON parser.
 
 // Splits "{...},{...},..." into one string per top-level object,
 // string-aware so braces inside values cannot desynchronize the scan.
@@ -904,11 +875,11 @@ obs::TimeSeriesPoint PointFromMetricsJson(const std::string& json,
     for (const std::string& obj : SplitTopLevelObjects(arr)) {
       std::string name, lab;
       double value = 0.0;
-      if (!FindJsonString(obj, "name", &name) ||
-          !FindJsonNumber(obj, "value", &value)) {
+      if (!JsonFindString(obj, "name", &name) ||
+          !JsonFindNumber(obj, "value", &value)) {
         continue;
       }
-      FindJsonString(obj, "label", &lab);
+      JsonFindString(obj, "label", &lab);
       const uint64_t v = static_cast<uint64_t>(value);
       point.counters[keyed(name, lab)] += v;
       if (!lab.empty()) point.counters[name] += v;
@@ -918,30 +889,30 @@ obs::TimeSeriesPoint PointFromMetricsJson(const std::string& json,
     for (const std::string& obj : SplitTopLevelObjects(arr)) {
       std::string name, lab;
       double value = 0.0;
-      if (!FindJsonString(obj, "name", &name) ||
-          !FindJsonNumber(obj, "value", &value)) {
+      if (!JsonFindString(obj, "name", &name) ||
+          !JsonFindNumber(obj, "value", &value)) {
         continue;
       }
-      FindJsonString(obj, "label", &lab);
+      JsonFindString(obj, "label", &lab);
       point.gauges[keyed(name, lab)] = value;
     }
   }
   if (ExtractJsonArray(json, "histograms", &arr)) {
     for (const std::string& obj : SplitTopLevelObjects(arr)) {
       std::string name, lab;
-      if (!FindJsonString(obj, "name", &name)) continue;
-      FindJsonString(obj, "label", &lab);
+      if (!JsonFindString(obj, "name", &name)) continue;
+      JsonFindString(obj, "label", &lab);
       obs::HistogramView view;
       double value = 0.0;
-      if (FindJsonNumber(obj, "count", &value)) {
+      if (JsonFindNumber(obj, "count", &value)) {
         view.count = static_cast<uint64_t>(value);
       }
-      if (FindJsonNumber(obj, "sum", &value)) view.sum = value;
-      if (FindJsonNumber(obj, "mean", &value)) view.mean = value;
-      if (FindJsonNumber(obj, "p50", &value)) view.p50 = value;
-      if (FindJsonNumber(obj, "p90", &value)) view.p90 = value;
-      if (FindJsonNumber(obj, "p95", &value)) view.p95 = value;
-      if (FindJsonNumber(obj, "p99", &value)) view.p99 = value;
+      if (JsonFindNumber(obj, "sum", &value)) view.sum = value;
+      if (JsonFindNumber(obj, "mean", &value)) view.mean = value;
+      if (JsonFindNumber(obj, "p50", &value)) view.p50 = value;
+      if (JsonFindNumber(obj, "p90", &value)) view.p90 = value;
+      if (JsonFindNumber(obj, "p95", &value)) view.p95 = value;
+      if (JsonFindNumber(obj, "p99", &value)) view.p99 = value;
       point.histograms[keyed(name, lab)] = view;
     }
   }
@@ -993,9 +964,9 @@ int CmdClusterReport(int argc, char** argv) {
   for (const std::string& obj : SplitTopLevelObjects(*members_body)) {
     MemberEndpoint m;
     double http_port = 0.0;
-    if (!FindJsonString(obj, "name", &m.name) ||
-        !FindJsonString(obj, "host", &m.host) ||
-        !FindJsonNumber(obj, "http", &http_port)) {
+    if (!JsonFindString(obj, "name", &m.name) ||
+        !JsonFindString(obj, "host", &m.host) ||
+        !JsonFindNumber(obj, "http", &http_port)) {
       continue;
     }
     m.http_port = static_cast<uint16_t>(http_port);
@@ -1022,10 +993,10 @@ int CmdClusterReport(int argc, char** argv) {
     }
     std::string commit = "?", build = "?";
     double wire_version = 0.0, uptime_s = 0.0;
-    FindJsonString(*health, "git_commit", &commit);
-    FindJsonString(*health, "build_type", &build);
-    FindJsonNumber(*health, "wire_version", &wire_version);
-    FindJsonNumber(*health, "uptime_s", &uptime_s);
+    JsonFindString(*health, "git_commit", &commit);
+    JsonFindString(*health, "build_type", &build);
+    JsonFindNumber(*health, "wire_version", &wire_version);
+    JsonFindNumber(*health, "uptime_s", &uptime_s);
     const bool traced = health->find("\"trace_enabled\":true") !=
                         std::string::npos;
     std::printf("  %-12s http=%-5u commit=%s build=%s wire=v%d "
